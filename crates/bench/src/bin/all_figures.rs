@@ -8,36 +8,51 @@
 //! second pass renders each figure from the shared result map.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use refsim_core::experiment::{self as exp, ExpOptions, RunPool};
 use refsim_core::report::Table;
 
-fn sections(o: &ExpOptions) -> Vec<(String, Vec<Table>)> {
-    vec![
-        ("Table 1".into(), vec![exp::table01(o)]),
-        ("Table 2".into(), vec![exp::table02(o)]),
-        ("Figure 3".into(), vec![exp::figure03(o)]),
-        ("Figure 4".into(), vec![exp::figure04(o)]),
-        ("Figure 5".into(), vec![exp::figure05()]),
-        ("Figure 10".into(), exp::figure10(o)),
-        ("Figure 11".into(), vec![exp::figure11(o)]),
-        ("Figure 12".into(), vec![exp::figure12(o)]),
-        ("Figure 13".into(), exp::figure13(o)),
-        ("Figure 14".into(), vec![exp::figure14(o)]),
-        ("Figure 15".into(), vec![exp::figure15(o)]),
-        ("Ablation".into(), vec![exp::ablation(o)]),
-    ]
-}
+type Builder = fn(&ExpOptions) -> Vec<Table>;
+
+const SECTIONS: [(&str, Builder); 12] = [
+    ("Table 1", |o| vec![exp::table01(o)]),
+    ("Table 2", |o| vec![exp::table02(o)]),
+    ("Figure 3", |o| vec![exp::figure03(o)]),
+    ("Figure 4", |o| vec![exp::figure04(o)]),
+    ("Figure 5", |_| vec![exp::figure05()]),
+    ("Figure 10", exp::figure10),
+    ("Figure 11", |o| vec![exp::figure11(o)]),
+    ("Figure 12", |o| vec![exp::figure12(o)]),
+    ("Figure 13", exp::figure13),
+    ("Figure 14", |o| vec![exp::figure14(o)]),
+    ("Figure 15", |o| vec![exp::figure15(o)]),
+    ("Ablation", |o| vec![exp::ablation(o)]),
+];
 
 fn main() {
     let mut cli = refsim_bench::Cli::parse();
     let pool = Arc::new(RunPool::new());
     cli.opts.pool = Some(Arc::clone(&pool));
     let o = &cli.opts;
-    let started = std::time::Instant::now();
+    let started = Instant::now();
+    // Each section's wall time goes to stderr, so a slow builder shows
+    // up in the progress log.
+    let build = |name: &str, builder: Builder, pass: &str| {
+        let t = Instant::now();
+        let tables = builder(o);
+        eprintln!(
+            "[{:8.1?}] {name} {pass} in {:.1?}",
+            started.elapsed(),
+            t.elapsed()
+        );
+        tables
+    };
 
     // Pass 1: every figure registers its jobs; tables are placeholders.
-    let _ = sections(o);
+    for (name, builder) in SECTIONS {
+        build(name, builder, "collected");
+    }
     eprintln!(
         "[{:8.1?}] collected {} unique jobs across all figures",
         started.elapsed(),
@@ -57,9 +72,8 @@ fn main() {
         o.measure_windows,
         o.seed
     );
-    for (name, tables) in &sections(o) {
-        eprintln!("[{:8.1?}] {name} done", started.elapsed());
-        for t in tables {
+    for (name, builder) in SECTIONS {
+        for t in build(name, builder, "rendered") {
             println!("{}", t.to_markdown());
         }
     }

@@ -482,6 +482,15 @@ impl Shared {
             .lock()
             .expect("poisoned")
             .push((Instant::now() + backoff, task));
+        self.wake_all();
+    }
+
+    /// Wakes every thread parked on `idle`. Taking the lock first means
+    /// a thread that checked its wake condition under the lock is
+    /// already waiting, so the notification cannot fall between its
+    /// check and its wait.
+    fn wake_all(&self) {
+        drop(self.idle.0.lock().expect("poisoned"));
         self.idle.1.notify_all();
     }
 }
@@ -649,7 +658,9 @@ where
                     .max(Duration::from_micros(100))
             };
             let guard = shared.idle.0.lock().expect("poisoned");
-            let _ = shared.idle.1.wait_timeout(guard, wait).expect("poisoned");
+            if !shared.finished() {
+                let _ = shared.idle.1.wait_timeout(guard, wait).expect("poisoned");
+            }
             continue;
         };
 
@@ -708,7 +719,7 @@ where
                 record_completion(shared, wall);
                 struck = poisoned;
                 if shared.done.fetch_add(1, Ordering::AcqRel) + 1 >= shared.total {
-                    shared.idle.1.notify_all();
+                    shared.wake_all();
                 }
             }
             Ok(DispatchOutcome::Verdict(Verdict::Requeue {
@@ -737,7 +748,7 @@ where
                 struck = true;
                 if task.epoch >= RUNAWAY_EPOCHS {
                     shared.abort.store(true, Ordering::Release);
-                    shared.idle.1.notify_all();
+                    shared.wake_all();
                     std::panic::resume_unwind(payload);
                 }
                 let mut next = task;
@@ -783,7 +794,7 @@ fn quarantine_worker(w: usize, shared: &Shared) {
         "worker {w}: quarantined after {} strikes; {n} queued item(s) drained to survivors",
         shared.opts.max_worker_strikes
     ));
-    shared.idle.1.notify_all();
+    shared.wake_all();
 }
 
 fn record_completion(shared: &Shared, wall: Duration) {
@@ -841,10 +852,23 @@ fn next_task(w: usize, shared: &Shared) -> Option<Task> {
 fn supervise(shared: &Shared) {
     let opts = &shared.opts;
     loop {
+        // Sleep one tick on the parking lot rather than the clock: the
+        // last completion wakes it, so joining the sweep never waits out
+        // the rest of a tick.
+        {
+            let guard = shared.idle.0.lock().expect("poisoned");
+            if shared.finished() {
+                break;
+            }
+            let _ = shared
+                .idle
+                .1
+                .wait_timeout(guard, opts.supervisor_tick)
+                .expect("poisoned");
+        }
         if shared.finished() {
             break;
         }
-        std::thread::sleep(opts.supervisor_tick);
         let median = {
             let walls = shared.completed_walls.lock().expect("poisoned");
             if walls.is_empty() {
@@ -966,6 +990,34 @@ mod tests {
     }
 
     #[test]
+    fn execute_returns_without_waiting_out_a_supervisor_tick() {
+        // The last completion wakes the supervisor, so a batch that
+        // finishes at once returns long before one tick has passed.
+        let opts = ExecutorOptions {
+            supervisor_tick: Duration::from_secs(5),
+            ..ExecutorOptions::default()
+        };
+        let items: Vec<ExecItem> = (0..4)
+            .map(|id| ExecItem {
+                id,
+                estimate_nanos: None,
+            })
+            .collect();
+        for threads in [1, 2] {
+            let t = Instant::now();
+            let stats = execute(&items, threads, &opts, |_, _| Verdict::Done {
+                poisoned: false,
+            });
+            assert_eq!(stats.items, 4);
+            assert!(
+                t.elapsed() < Duration::from_secs(1),
+                "{threads} worker(s): took {:?}",
+                t.elapsed()
+            );
+        }
+    }
+
+    #[test]
     fn idle_workers_steal_from_the_loaded_deque() {
         // Worker 0 owns the one big item (plus half the small ones);
         // worker 1 drains its own small items and then must steal.
@@ -1019,8 +1071,10 @@ mod tests {
 
     #[test]
     fn striking_worker_is_quarantined_and_items_survive() {
-        // Worker 0 panics on every claim; worker 1 is healthy but slow
-        // enough that worker 0 keeps claiming until quarantined.
+        // Worker 0 panics on every claim; worker 1 is healthy but holds
+        // its first item until worker 0 has panicked twice, so worker 0
+        // keeps claiming until quarantined however long a panic takes
+        // (printing a backtrace can outlast the whole batch).
         let items: Vec<ExecItem> = (0..12)
             .map(|id| ExecItem {
                 id,
@@ -1031,10 +1085,16 @@ mod tests {
             max_worker_strikes: 2,
             ..quick_opts()
         };
+        let panics = AtomicUsize::new(0);
         let completed = Mutex::new(Vec::new());
         let stats = execute(&items, 2, &opts, |id, ctx| {
             if ctx.worker == 0 {
+                panics.fetch_add(1, Ordering::SeqCst);
                 panic!("poisoned worker");
+            }
+            let t = Instant::now();
+            while panics.load(Ordering::SeqCst) < 2 && t.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
             }
             std::thread::sleep(Duration::from_millis(3));
             completed.lock().expect("poisoned").push(id);

@@ -37,9 +37,10 @@
 //! serves leaders from prior processes' results — except for cells
 //! [`crate::runcache::bypass_reason`] names, which always execute.
 //! With [`SweepOptions::verify_sampled`] set (the default), the first
-//! cache hit of each sweep is re-executed and compared bit-for-bit
-//! (metrics *and* final replay hash) against the stored entry, turning
-//! every warm sweep into a standing audit of the cache's soundness.
+//! cache hit of each sweep, in job order, is re-executed and compared
+//! bit-for-bit (metrics *and* final replay hash) against the stored
+//! entry, turning every warm sweep into a standing audit of the cache's
+//! soundness.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -83,9 +84,9 @@ pub struct SweepOptions {
     /// Persistent content-addressed run cache. `None` (the default)
     /// disables persistence; in-process dedup is active regardless.
     pub cache: Option<RunCache>,
-    /// Re-execute the first cache hit of the sweep and require the
-    /// fresh run to reproduce the entry's metrics and replay hash
-    /// bit-for-bit. On by default; a mismatch is counted in
+    /// Re-execute the first cache hit of the sweep, in job order, and
+    /// require the fresh run to reproduce the entry's metrics and replay
+    /// hash bit-for-bit. On by default; a mismatch is counted in
     /// [`CacheStats::verify_failures`] and the fresh result wins.
     pub verify_sampled: bool,
     /// Filesystem every persistence surface of the sweep goes through.
@@ -660,8 +661,6 @@ pub fn run_many_resilient(
     let resumed_count = AtomicU64::new(0);
     let quarantined = Mutex::new(Vec::new());
     let stats_mx = Mutex::new(&mut stats);
-    // One sampled verification per sweep: the first hit claims it.
-    let verify_claimed = AtomicBool::new(false);
     let workers = if threads == 0 {
         default_threads()
     } else {
@@ -684,6 +683,16 @@ pub fn run_many_resilient(
             }),
         })
         .collect();
+
+    // One sampled verification per sweep, on a cell fixed before
+    // dispatch: the first leader in job order whose entry the peek
+    // above found. Choosing by job order, not by which worker looks up
+    // first, re-runs the same cell on every warm sweep, so its cost
+    // does not depend on thread timing.
+    let verify_job = items
+        .iter()
+        .find(|it| opts.verify_sampled && it.estimate_nanos.is_some())
+        .map(|it| leaders[it.id]);
 
     // Per-leader state that must survive executor requeues: the sweep —
     // not the executor — owns the retry budget (so `PanicInjection`
@@ -736,7 +745,7 @@ pub fn run_many_resilient(
             }),
         }
         if let CacheLookup::Hit(entry, sz) = lookup {
-            if opts.verify_sampled && !verify_claimed.swap(true, Ordering::Relaxed) {
+            if verify_job == Some(i) {
                 // Sampled audit: re-run the cell and hold the entry to
                 // bit-identity on metrics and the final replay hash.
                 bump(&|st| st.executed += 1);

@@ -334,6 +334,35 @@ fn warm_cache_serves_every_cell_and_verifies_one() {
 }
 
 #[test]
+fn sampled_verification_rechecks_the_first_cached_cell_in_job_order() {
+    // Poison only the second cell's entry. Verification always re-runs
+    // the first cached cell in job order, never whichever cell a worker
+    // happens to look up first, so the lie is never the one audited.
+    let cache = tmp_cache("verify-order");
+    let jobs = [tiny_job(41), tiny_job(42)];
+    let opts = SweepOptions {
+        cache: Some(cache.clone()),
+        ..SweepOptions::default()
+    };
+    run_many_resilient(&jobs, 2, &opts).expect("cold");
+    let fp = job_fingerprint(&jobs[1].cfg, &jobs[1].mix);
+    let (honest, _) = cache.load(fp).expect("stored entry");
+    cache
+        .store(&CacheEntry {
+            replay_hash: honest.replay_hash ^ 0xdead_beef,
+            ..honest
+        })
+        .expect("plant poisoned entry");
+    for rep in 0..16 {
+        let warm = run_many_resilient(&jobs, 2, &opts).expect("warm");
+        assert_eq!(warm.stats.verified, 1, "rep {rep}");
+        assert_eq!(warm.stats.verify_failures, 0, "rep {rep}");
+        assert_eq!(warm.stats.hits, 2, "rep {rep}");
+    }
+    let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+#[test]
 fn poisoned_entry_is_caught_by_verification_and_overwritten() {
     let cache = tmp_cache("poison");
     let job = tiny_job(31);

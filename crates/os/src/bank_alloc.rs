@@ -72,19 +72,26 @@ impl BankVector {
 
     /// Iterates over member banks, ascending.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let bits = self.0;
-        (0..64).filter(move |b| bits & (1u64 << b) != 0)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let bank = (bits != 0).then(|| bits.trailing_zeros());
+            bits &= bits.wrapping_sub(1);
+            bank
+        })
     }
 
     /// The next member bank strictly after `bank`, wrapping within
-    /// `total` banks; `None` if the set is empty.
+    /// `total` banks (so `bank` itself comes last); `None` if no member
+    /// is below `total`. Members `>= total` are ignored.
     pub fn next_after(&self, bank: u32, total: u32) -> Option<u32> {
-        if self.is_empty() {
+        let members = self.0 & BankVector::all(total).0;
+        if members == 0 {
             return None;
         }
-        (1..=total)
-            .map(|d| (bank + d) % total)
-            .find(|&b| self.contains(b))
+        // `total > 0` here, since `all(0)` is empty.
+        let after = members & !BankVector::all(bank % total + 1).0;
+        let next = if after != 0 { after } else { members };
+        Some(next.trailing_zeros())
     }
 
     /// The raw bitmask.
@@ -417,6 +424,53 @@ mod tests {
         assert_eq!(s.next_after(5, 16), Some(9));
         assert_eq!(s.next_after(9, 16), Some(1));
         assert_eq!(BankVector::EMPTY.next_after(0, 16), None);
+    }
+
+    /// The scan `next_after` and `iter` replaced, kept as their spec.
+    fn naive_next_after(v: BankVector, bank: u32, total: u32) -> Option<u32> {
+        if v.is_empty() {
+            return None;
+        }
+        (1..=total)
+            .map(|d| (bank + d) % total)
+            .find(|&b| v.contains(b))
+    }
+
+    fn naive_iter(v: BankVector) -> Vec<u32> {
+        (0..64).filter(|&b| v.contains(b)).collect()
+    }
+
+    #[test]
+    fn bit_tricks_match_the_naive_scans() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xBA4C);
+        for case in 0..4000u32 {
+            // Dense, sparse, single-bit and empty sets.
+            let bits: u64 = match case % 4 {
+                0 => rng.gen(),
+                1 => rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>(),
+                2 => 1u64 << rng.gen_range(0u32..64),
+                _ => 0,
+            };
+            let v = BankVector::from_bits(bits);
+            assert_eq!(v.iter().collect::<Vec<_>>(), naive_iter(v), "{bits:#x}");
+            for total in 1..=64u32 {
+                for bank in [0, total - 1, rng.gen_range(0..total), rng.gen_range(0..64)] {
+                    assert_eq!(
+                        v.next_after(bank, total),
+                        naive_next_after(v, bank, total),
+                        "bits {bits:#x}, bank {bank}, total {total}"
+                    );
+                }
+            }
+        }
+        // The only member is `bank` itself: it comes back after a full lap.
+        for total in 1..=64u32 {
+            for bank in 0..total {
+                assert_eq!(BankVector::single(bank).next_after(bank, total), Some(bank));
+            }
+        }
     }
 
     #[test]
