@@ -574,7 +574,7 @@ mod tests {
                     frames: 0,
                     free_frames: 0,
                     free_lists: Vec::new(),
-                    alloc_map: Vec::new(),
+                    alloc_map: Default::default(),
                 },
                 per_bank_free: Vec::new(),
                 stats: Default::default(),

@@ -68,51 +68,116 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Staging-buffer size of a hashing [`Enc`]: small writes collect here
+/// and fold into the hasher in one [`Fnv64::update`]; a `put_bytes` of at
+/// least this many bytes skips the buffer.
+const STAGE_BYTES: usize = 4096;
+
 /// Byte-stream encoder (little-endian, append-only).
-#[derive(Debug, Default)]
+///
+/// [`Enc::new`] collects the bytes; [`Enc::hasher`] streams them into an
+/// FNV-1a digest instead, so hashing a large value costs no copy of its
+/// encoding.
+#[derive(Debug)]
 pub struct Enc {
     buf: Vec<u8>,
+    /// FNV-1a state of the bytes already folded out of `buf`.
+    folded: Fnv64,
+    /// `buf` length at which it is folded into `folded`: `STAGE_BYTES`
+    /// for a hashing sink, `usize::MAX` for a byte encoder, which keeps
+    /// every byte.
+    stage: usize,
+}
+
+impl Default for Enc {
+    fn default() -> Self {
+        Enc::new()
+    }
 }
 
 impl Enc {
     /// A fresh, empty encoder.
     pub fn new() -> Self {
-        Enc::default()
+        Enc {
+            buf: Vec::new(),
+            folded: Fnv64::new(),
+            stage: usize::MAX,
+        }
+    }
+
+    /// A hashing sink: everything written is folded into an FNV-1a
+    /// state, and [`Enc::digest`] equals `fnv64` of the bytes
+    /// [`Enc::new`] would have collected.
+    pub fn hasher() -> Self {
+        Enc {
+            buf: Vec::with_capacity(STAGE_BYTES),
+            folded: Fnv64::new(),
+            stage: STAGE_BYTES,
+        }
     }
 
     /// Consumes the encoder, yielding the encoded bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`Enc::hasher`] sink, which does not keep its bytes.
     pub fn into_bytes(self) -> Vec<u8> {
+        assert_eq!(self.stage, usize::MAX, "a hashing encoder keeps no bytes");
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
+    /// Consumes the encoder, yielding the FNV-1a digest of everything
+    /// written to it.
+    pub fn digest(self) -> u64 {
+        let mut h = self.folded;
+        h.update(&self.buf);
+        h.digest()
     }
 
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// Folds the staging buffer into the digest once it is full. Only
+    /// the length test is inlined into the `put_*` methods, which keeps
+    /// small byte encodes as fast as a bare `Vec` push.
+    #[inline(always)]
+    fn staged(&mut self) {
+        if self.buf.len() >= self.stage {
+            self.fold();
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fold(&mut self) {
+        self.folded.update(&self.buf);
+        self.buf.clear();
     }
 
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
+        self.staged();
     }
 
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.staged();
     }
 
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.staged();
     }
 
     /// Appends raw bytes with no framing.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
+        if v.len() >= self.stage {
+            self.fold();
+            self.folded.update(v);
+        } else {
+            self.buf.extend_from_slice(v);
+            self.staged();
+        }
     }
 }
 
@@ -583,7 +648,7 @@ impl Snapshot for SavedBuddy {
         let free_frames = Snapshot::decode(d)?;
         let free_lists = Snapshot::decode(d)?;
         let n = d.get_len(1)?;
-        let alloc_map = d.get_bytes(n)?.to_vec();
+        let alloc_map = d.get_bytes(n)?.to_vec().into();
         Ok(SavedBuddy {
             frames,
             free_frames,
@@ -1148,11 +1213,31 @@ impl Fnv64 {
     }
 
     /// Folds `bytes` into the hash state.
+    ///
+    /// An all-zero 8-byte word is folded as one multiply by
+    /// `FNV_PRIME^8`: XOR with a zero byte leaves the state unchanged, so
+    /// the digest is the byte-at-a-time FNV-1a digest. Mostly-zero
+    /// images (the buddy allocator's per-frame map) then cost one
+    /// multiply per word instead of eight.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+        const FNV_PRIME_POW8: u64 = FNV_PRIME.wrapping_pow(8);
+        let fold = |mut state: u64, bytes: &[u8]| {
+            for &b in bytes {
+                state ^= u64::from(b);
+                state = state.wrapping_mul(FNV_PRIME);
+            }
+            state
+        };
+        let (words, tail) = bytes.as_chunks::<8>();
+        let mut state = self.state;
+        for w in words {
+            state = if u64::from_ne_bytes(*w) == 0 {
+                state.wrapping_mul(FNV_PRIME_POW8)
+            } else {
+                fold(state, w)
+            };
         }
+        self.state = fold(state, tail);
     }
 
     /// The current digest.
@@ -1303,5 +1388,133 @@ mod tests {
         h.update(b"foo");
         h.update(b"bar");
         assert_eq!(h.digest(), fnv64(b"foobar"));
+    }
+
+    /// Byte-at-a-time FNV-1a, the definition `Fnv64::update` must match.
+    fn fnv64_bytewise(bytes: &[u8]) -> u64 {
+        let mut state = FNV_OFFSET;
+        for &b in bytes {
+            state ^= u64::from(b);
+            state = state.wrapping_mul(FNV_PRIME);
+        }
+        state
+    }
+
+    /// Test-local splitmix64 stream.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn zero_word_skip_matches_the_bytewise_definition() {
+        let mut rng = 0x5EED_u64;
+        for len in 0..=80usize {
+            // Zero runs of every length up to 20 at every start offset,
+            // so whole zero words land at every alignment of the slice.
+            for start in 0..len.max(1) {
+                for run in 0..=20usize.min(len - start.min(len)) {
+                    let mut buf: Vec<u8> = (0..len).map(|_| splitmix(&mut rng) as u8).collect();
+                    buf[start..start + run].fill(0);
+                    let want = fnv64_bytewise(&buf);
+                    assert_eq!(fnv64(&buf), want, "len {len} zeros {start}+{run}");
+                    // Split points move the 8-byte grid relative to the run.
+                    let cut = (splitmix(&mut rng) as usize) % (len + 1);
+                    let mut h = Fnv64::new();
+                    h.update(&buf[..cut]);
+                    h.update(&buf[cut..]);
+                    assert_eq!(h.digest(), want, "len {len} zeros {start}+{run} cut {cut}");
+                }
+            }
+        }
+        // A multi-MiB, mostly-zero image like the buddy allocator's map.
+        let mut big = vec![0u8; 5 << 20];
+        for _ in 0..2000 {
+            let at = (splitmix(&mut rng) as usize) % big.len();
+            big[at] = splitmix(&mut rng) as u8 | 1;
+        }
+        assert_eq!(fnv64(&big), fnv64_bytewise(&big));
+    }
+
+    /// Writes the same stream into a byte encoder and a hashing sink and
+    /// checks the sink's digest is the bytes' FNV-1a digest.
+    fn assert_sink_matches(write: impl Fn(&mut Enc)) {
+        let mut bytes = Enc::new();
+        write(&mut bytes);
+        let want = fnv64(&bytes.into_bytes());
+        let mut sink = Enc::hasher();
+        write(&mut sink);
+        assert_eq!(sink.digest(), want);
+    }
+
+    #[test]
+    fn hashing_sink_digest_equals_fnv_of_the_encoding() {
+        assert_sink_matches(|_| {});
+        // Many small puts: crosses the staging threshold many times at
+        // shifting offsets.
+        assert_sink_matches(|e| {
+            for i in 0..5000u64 {
+                e.put_u8(i as u8);
+                e.put_u32(i as u32 * 7);
+                e.put_u64(i.wrapping_mul(0x9E37_79B9));
+            }
+        });
+        // Large `put_bytes` after a part-filled buffer, at, just below
+        // and well above the threshold, with zero and non-zero payloads.
+        for n in [
+            STAGE_BYTES - 1,
+            STAGE_BYTES,
+            STAGE_BYTES + 1,
+            3 * STAGE_BYTES + 5,
+        ] {
+            let payload: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
+            assert_sink_matches(|e| {
+                e.put_u32(0xDEAD_BEEF);
+                e.put_u8(3);
+                e.put_bytes(&payload);
+                e.put_u64(n as u64);
+                e.put_bytes(&vec![0; n]);
+                e.put_u8(9);
+            });
+        }
+        // A whole component value through `Snapshot::encode`.
+        let v: Vec<(u64, Option<u32>)> = (0..3000)
+            .map(|i| (i, (i % 3 == 0).then_some(i as u32)))
+            .collect();
+        assert_sink_matches(|e| v.encode(e));
+    }
+
+    #[test]
+    fn hashing_sink_digests_a_32gb_system_state_exactly() {
+        use crate::config::SystemConfig;
+        use crate::system::System;
+        use refsim_dram::timing::Density;
+        use refsim_workloads::mix::WorkloadMix;
+        use refsim_workloads::profiles::Benchmark;
+
+        let mut cfg = SystemConfig::table1()
+            .with_density(Density::Gb32)
+            .with_time_scale(512);
+        cfg.warmup = cfg.trefw() / 8;
+        cfg.measure = cfg.trefw() / 4;
+        let mix = WorkloadMix::from_groups(
+            "pair",
+            &[(Benchmark::Mcf, 1), (Benchmark::Povray, 1)],
+            "H + L",
+        );
+        let mut sys = System::new(cfg, &mix);
+        sys.run();
+        let state = sys.export_state();
+        let bytes = to_bytes(&state);
+        assert!(
+            bytes.len() > 8 << 20,
+            "a 32 Gb state carries its 8 MiB page map"
+        );
+        let mut sink = Enc::hasher();
+        state.encode(&mut sink);
+        assert_eq!(sink.digest(), fnv64_bytewise(&bytes));
     }
 }

@@ -26,7 +26,7 @@ use refsim_dram::time::Ps;
 use refsim_workloads::mix::WorkloadMix;
 
 use crate::checkpoint::{Checkpoint, SavedSystem};
-use crate::codec::{fnv64, to_bytes, Enc, Snapshot};
+use crate::codec::{Enc, Snapshot};
 use crate::config::{EngineKind, SystemConfig};
 use crate::error::RefsimError;
 use crate::system::System;
@@ -48,41 +48,41 @@ pub struct StateHashes {
 }
 
 impl StateHashes {
-    /// Hashes each component section of `s` independently.
+    /// Hashes each component section of `s` independently, streaming
+    /// its encoding through [`Enc::hasher`] rather than materializing it.
     pub fn of(s: &SavedSystem) -> Self {
-        let os = {
-            let mut e = Enc::new();
-            s.tasks.encode(&mut e);
-            s.sched.encode(&mut e);
-            s.alloc.encode(&mut e);
-            fnv64(&e.into_bytes())
-        };
-        let system = {
-            let mut e = Enc::new();
-            s.clock.encode(&mut e);
-            s.next_req.encode(&mut e);
-            s.measure_start.encode(&mut e);
-            s.inflight.encode(&mut e);
-            s.base.encode(&mut e);
-            s.sched_base_stats.encode(&mut e);
-            fnv64(&e.into_bytes())
+        let hash = |encode: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::hasher();
+            encode(&mut e);
+            e.digest()
         };
         StateHashes {
-            dram: fnv64(&to_bytes(&s.mcs)),
-            cpu: fnv64(&to_bytes(&s.cores)),
-            os,
-            workloads: fnv64(&to_bytes(&s.sims)),
-            system,
+            dram: hash(&|e| s.mcs.encode(e)),
+            cpu: hash(&|e| s.cores.encode(e)),
+            os: hash(&|e| {
+                s.tasks.encode(e);
+                s.sched.encode(e);
+                s.alloc.encode(e);
+            }),
+            workloads: hash(&|e| s.sims.encode(e)),
+            system: hash(&|e| {
+                s.clock.encode(e);
+                s.next_req.encode(e);
+                s.measure_start.encode(e);
+                s.inflight.encode(e);
+                s.base.encode(e);
+                s.sched_base_stats.encode(e);
+            }),
         }
     }
 
     /// A single hash folding all five components.
     pub fn combined(&self) -> u64 {
-        let mut e = Enc::new();
+        let mut e = Enc::hasher();
         for w in [self.dram, self.cpu, self.os, self.workloads, self.system] {
             e.put_u64(w);
         }
-        fnv64(&e.into_bytes())
+        e.digest()
     }
 
     /// The first component whose hash differs from `other`'s, with both
@@ -510,6 +510,41 @@ mod tests {
         let b = trace(&tiny_cfg(2), &mix, &opts).expect("run");
         let d = first_divergence(&a, &b).expect("seeds must differ");
         assert_eq!(d.quantum, 0);
+    }
+
+    #[test]
+    fn final_state_hashes_match_their_golden_pins() {
+        // Golden values of the byte-collecting definition, `fnv64` of
+        // each component's `to_bytes`: the streamed hash, the zero-word
+        // fold and the copy-on-write page map must leave them, and the
+        // checkpoint bytes, unchanged.
+        let cfg = tiny_cfg(0x601D).with_density(refsim_dram::timing::Density::Gb32);
+        let mix = tiny_mix();
+        let mut sys = System::new(cfg, &mix);
+        sys.run();
+        let state = sys.export_state();
+        let h = StateHashes::of(&state);
+        let pins = [
+            ("dram", h.dram, 0x6a4d_e5b1_4ae2_bf76),
+            ("cpu", h.cpu, 0xb4b2_9ee1_bfae_1c1a),
+            ("os", h.os, 0x4fa5_d51f_3c54_0338),
+            ("workloads", h.workloads, 0x17aa_4142_c071_83c1),
+            ("system", h.system, 0x06d0_5bd2_9ce4_97e1),
+            ("combined", h.combined(), 0x0934_a29f_6924_9d7c),
+            (
+                "state bytes",
+                crate::codec::fnv64(&crate::codec::to_bytes(&state)),
+                0xe176_33fb_21c1_f04c,
+            ),
+            (
+                "checkpoint bytes",
+                crate::codec::fnv64(&sys.checkpoint(&mix).to_bytes()),
+                0x9ed1_08d9_0768_d2bd,
+            ),
+        ];
+        for (what, got, want) in pins {
+            assert_eq!(got, want, "{what}: {got:#018x} != pinned {want:#018x}");
+        }
     }
 
     #[test]

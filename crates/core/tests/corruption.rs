@@ -70,7 +70,7 @@ fn small_checkpoint() -> Checkpoint {
                     frames: 0,
                     free_frames: 0,
                     free_lists: Vec::new(),
-                    alloc_map: Vec::new(),
+                    alloc_map: Default::default(),
                 },
                 per_bank_free: Vec::new(),
                 stats: Default::default(),

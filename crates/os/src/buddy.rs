@@ -2,6 +2,7 @@
 //! machinery the paper's Algorithm 2 extends).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -52,7 +53,9 @@ pub struct BuddyAllocator {
     free_lists: Vec<BTreeSet<Frame>>,
     /// Per-frame allocation record: `order + 1` at the start frame of an
     /// allocated block, 0 elsewhere. Catches double/mismatched frees.
-    alloc_map: Vec<u8>,
+    /// Copy-on-write: snapshots and clones share it until the next
+    /// write, so saving state costs nothing per installed frame.
+    alloc_map: Arc<Vec<u8>>,
 }
 
 impl BuddyAllocator {
@@ -67,7 +70,7 @@ impl BuddyAllocator {
             frames,
             free_frames: frames,
             free_lists: (0..=MAX_ORDER).map(|_| BTreeSet::new()).collect(),
-            alloc_map: vec![0; frames as usize],
+            alloc_map: Arc::new(vec![0; frames as usize]),
         };
         // Seed with maximal aligned blocks (greedy high-order carve).
         let mut start = 0u64;
@@ -130,7 +133,7 @@ impl BuddyAllocator {
             self.free_lists[o as usize].insert(buddy);
         }
         self.free_frames -= 1u64 << order;
-        self.alloc_map[start as usize] = (order + 1) as u8;
+        Arc::make_mut(&mut self.alloc_map)[start as usize] = (order + 1) as u8;
         Ok(start)
     }
 
@@ -154,7 +157,7 @@ impl BuddyAllocator {
             self.alloc_map[start as usize] == (order + 1) as u8,
             "double or mismatched free of {start:#x}@{order}"
         );
-        self.alloc_map[start as usize] = 0;
+        Arc::make_mut(&mut self.alloc_map)[start as usize] = 0;
         self.free_frames += size;
         let mut start = start;
         let mut order = order;
@@ -227,7 +230,7 @@ impl BuddyAllocator {
                 .iter()
                 .map(|s| s.iter().copied().collect())
                 .collect(),
-            alloc_map: self.alloc_map.clone(),
+            alloc_map: Arc::clone(&self.alloc_map),
         }
     }
 
@@ -254,7 +257,7 @@ impl BuddyAllocator {
         for (dst, src) in self.free_lists.iter_mut().zip(&saved.free_lists) {
             *dst = src.iter().copied().collect();
         }
-        self.alloc_map.clone_from(&saved.alloc_map);
+        self.alloc_map = Arc::clone(&saved.alloc_map);
         Ok(())
     }
 }
@@ -268,8 +271,9 @@ pub struct SavedBuddy {
     pub free_frames: u64,
     /// Free block start frames per order, ascending.
     pub free_lists: Vec<Vec<Frame>>,
-    /// Per-frame allocation records.
-    pub alloc_map: Vec<u8>,
+    /// Per-frame allocation records, shared copy-on-write with the
+    /// allocator that saved them.
+    pub alloc_map: Arc<Vec<u8>>,
 }
 
 #[cfg(test)]
@@ -352,6 +356,51 @@ mod tests {
     fn misaligned_free_panics() {
         let mut b = BuddyAllocator::new(16);
         b.free(1, 1);
+    }
+
+    #[test]
+    fn snapshots_and_clones_are_isolated_from_later_writes() {
+        let mut b = BuddyAllocator::new(4096);
+        let kept = b.alloc(2).unwrap();
+        let saved = b.save_state();
+        assert!(
+            Arc::ptr_eq(&saved.alloc_map, &b.alloc_map),
+            "save shares the map"
+        );
+        let frozen = saved.alloc_map.as_ref().clone();
+
+        // Writes after a save leave the snapshot untouched.
+        let f = b.alloc(0).unwrap();
+        assert_eq!(b.alloc_map[f as usize], 1);
+        b.free(kept, 2);
+        assert_eq!(b.alloc_map[kept as usize], 0);
+        assert_eq!(*saved.alloc_map, frozen);
+        assert_eq!(saved.alloc_map[kept as usize], 3);
+        assert_eq!(saved.alloc_map[f as usize], 0);
+        assert_eq!(b.audit(), None);
+
+        // Restoring shares the snapshot again; writes still copy first.
+        b.restore_state(&saved).unwrap();
+        assert_eq!(b.audit(), None);
+        assert!(Arc::ptr_eq(&saved.alloc_map, &b.alloc_map));
+        let g = b.alloc(0).unwrap();
+        b.free(kept, 2);
+        assert_eq!(
+            (b.alloc_map[kept as usize], b.alloc_map[g as usize]),
+            (0, 1)
+        );
+        assert_eq!(*saved.alloc_map, frozen);
+        assert_eq!(b.audit(), None);
+
+        // A clone and its original diverge on their first write.
+        let mut c = b.clone();
+        c.free(g, 0);
+        assert_eq!((b.alloc_map[g as usize], c.alloc_map[g as usize]), (1, 0));
+        b.free(g, 0);
+        assert_eq!(b.free_frames(), 4096);
+        assert_eq!(c.free_frames(), 4096);
+        assert_eq!((b.audit(), c.audit()), (None, None));
+        assert_eq!(*saved.alloc_map, frozen);
     }
 
     #[test]

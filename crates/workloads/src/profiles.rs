@@ -372,6 +372,14 @@ impl TaskWorkload {
                 saved.hot_cursor, self.profile.hot_bytes
             ));
         }
+        // `next_op` leaves the credit below one memory instruction's
+        // cost; a larger one would overflow its `+= 1000`.
+        if saved.mem_credit >= self.profile.mem_per_mille {
+            return Err(format!(
+                "memory credit {} out of range (must be below {})",
+                saved.mem_credit, self.profile.mem_per_mille
+            ));
+        }
         self.cold.restore_state(&saved.cold)?;
         self.rng = StdRng::from_state_u64(saved.rng_state);
         self.hot_cursor = saved.hot_cursor;
@@ -553,6 +561,40 @@ mod tests {
                 assert_eq!(r, f, "{b} diverged at op {i}");
             }
             assert_eq!(reference.save_state(), fast.save_state(), "{b}");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_an_out_of_range_memory_credit() {
+        for b in Benchmark::ALL {
+            let mut w = TaskWorkload::new(b, 5);
+            for _ in 0..100 {
+                w.next_op();
+                assert!(w.save_state().mem_credit < w.profile().mem_per_mille, "{b}");
+            }
+            let good = w.save_state();
+            let limit = w.profile().mem_per_mille;
+            for credit in [limit, limit + 1, u32::MAX - 10] {
+                let bad = SavedWorkload {
+                    mem_credit: credit,
+                    ..good.clone()
+                };
+                let mut fresh = TaskWorkload::new(b, 5);
+                let err = fresh.restore_state(&bad).expect_err("credit out of range");
+                assert!(err.contains("memory credit"), "{b}: {err}");
+                assert_eq!(
+                    fresh.save_state(),
+                    TaskWorkload::new(b, 5).save_state(),
+                    "{b}"
+                );
+            }
+            let mut fresh = TaskWorkload::new(b, 5);
+            let edge = SavedWorkload {
+                mem_credit: limit - 1,
+                ..good.clone()
+            };
+            fresh.restore_state(&edge).expect("largest valid credit");
+            fresh.next_op();
         }
     }
 
