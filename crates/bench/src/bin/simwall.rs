@@ -73,18 +73,6 @@ const SCALING_FLOOR: f64 = 1.7;
 /// batching must show up here or it is not real.
 const HOTPATH_FLOOR: f64 = 2.0;
 
-/// Shard-thread count the intra-run sharding floor applies to (one
-/// worker per channel of [`SHARD_CHANNELS`]).
-const SHARD_FLOOR_THREADS: u32 = 4;
-
-/// Minimum sharded-over-serial speedup at [`SHARD_FLOOR_THREADS`]
-/// workers under `--check` (hosts with at least that many cores).
-const SHARD_FLOOR: f64 = 1.5;
-
-/// Channels in the sharding scenario — wide enough that per-channel
-/// ticking dominates the step loop and the parallel win is honest.
-const SHARD_CHANNELS: u32 = 4;
-
 /// Scenarios the [`HOTPATH_FLOOR`] applies to.
 const HOTPATH_FLOORED: [&str; 2] = ["compute_heavy", "mixed"];
 
@@ -360,77 +348,6 @@ fn measure_scaling_row(jobs: &[Job], threads: usize, reps: u32) -> ScalingRow {
     }
 }
 
-/// The intra-run sharding scenario: a [`SHARD_CHANNELS`]-channel
-/// machine at the default 250 ns pitch on a hot device, streaming on
-/// every core. The pitch matters: each step hands the channels one
-/// batch of ~µs-scale controller work, so the per-step worker handoff
-/// (one atomic release + spin acquire) amortizes to noise and
-/// `ShardMode::Channel` can approach one-worker-per-channel scaling.
-/// (At DRAM-clock pitch the per-step channel work is smaller than the
-/// handoff itself and sharding can only lose — that regime stays on
-/// the serial walk.) The serial walk over the same config is the
-/// baseline every sharded row must beat *and* bit-match.
-fn shard_scenario(scale: u32) -> (SystemConfig, WorkloadMix) {
-    let mut cfg = SystemConfig::table1()
-        .with_time_scale(scale)
-        .with_channels(SHARD_CHANNELS)
-        .with_refresh(RefreshPolicyKind::AllBank)
-        .with_step(DEFAULT_STEP)
-        .with_engine(EngineKind::FixedStep);
-    cfg.retention = Retention::Ms32;
-    let mix = WorkloadMix::from_groups("shard-stall", &[(Benchmark::Stream, 4)], "H");
-    (cfg, mix)
-}
-
-/// One timed run of the sharding scenario: wall seconds plus the
-/// collected metrics' Debug string, so every worker count can be
-/// checked bit-identical against the serial baseline.
-fn time_shard_run(cfg: &SystemConfig, mix: &WorkloadMix, span: Ps) -> (f64, String) {
-    let mut sys = System::try_new(cfg.clone(), mix).expect("shard scenario must build");
-    let t0 = Instant::now();
-    sys.try_run_until(span)
-        .expect("shard scenario must run clean");
-    let wall = t0.elapsed().as_secs_f64();
-    (wall, format!("{:?}", sys.collect()))
-}
-
-/// A measured sharding row. `threads == 1` is the serial walk
-/// (`ShardMode::Serial`, the correctness anchor); other counts run
-/// `ShardMode::Channel` with that explicit worker budget.
-struct ShardRow {
-    threads: u32,
-    wall_s: f64,
-    result: String,
-}
-
-fn measure_shard_row(
-    base: &SystemConfig,
-    mix: &WorkloadMix,
-    span: Ps,
-    threads: u32,
-    reps: u32,
-) -> ShardRow {
-    let cfg = if threads <= 1 {
-        base.clone()
-    } else {
-        base.clone().with_shard_threads(threads)
-    };
-    let (_, mut result) = time_shard_run(&cfg, mix, span); // untimed warmup
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let (w, r) = time_shard_run(&cfg, mix, span);
-            result = r;
-            w
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    ShardRow {
-        threads,
-        wall_s: samples[samples.len() / 2],
-        result,
-    }
-}
-
 /// The `--chaos` smoke: runs the sweep matrix clean on one worker, then
 /// on four workers with one seeded hung worker (reclaimed twice by the
 /// supervisor) and one slow worker, and verifies containment — every
@@ -492,8 +409,6 @@ fn main() {
     let mut out = String::from("BENCH_simwall.json");
     let mut check = false;
     let mut threads_list: Vec<usize> = Vec::new();
-    // Serial anchor plus one-worker-per-two-channels and one-per-channel.
-    let mut shard_threads_list: Vec<u32> = vec![1, 2, SHARD_FLOOR_THREADS];
     let mut chaos = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -525,28 +440,12 @@ fn main() {
                     })
                     .collect();
             }
-            "--shard-threads" => {
-                let v = it
-                    .next()
-                    .expect("--shard-threads needs a comma list, e.g. 1,2,4");
-                shard_threads_list = v
-                    .split(',')
-                    .map(|t| {
-                        let n: u32 = t
-                            .trim()
-                            .parse()
-                            .expect("--shard-threads takes positive integers");
-                        assert!(n > 0, "--shard-threads entries must be positive");
-                        n
-                    })
-                    .collect();
-            }
             "--chaos" => chaos = true,
             "--check" => check = true,
             "--help" | "-h" => {
                 eprintln!(
                     "flags: [--quick] [--scale N] [--reps N] [--out PATH] \
-                     [--threads LIST] [--shard-threads LIST] [--chaos] [--check]"
+                     [--threads LIST] [--chaos] [--check]"
                 );
                 return;
             }
@@ -697,6 +596,7 @@ fn main() {
     }
 
     // ---- sweep scaling matrix (--threads) ----------------------------
+    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut scaling_rows: Vec<ScalingRow> = Vec::new();
     let mut scaling_jobs_len = 0;
     if !threads_list.is_empty() {
@@ -731,9 +631,8 @@ fn main() {
         if check {
             // Same interference policy as the engine floors: re-measure
             // a failing floor row up to twice, keep the best wall.
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
             for i in 0..scaling_rows.len() {
-                if scaling_rows[i].threads != FLOOR_THREADS || cores < FLOOR_THREADS {
+                if scaling_rows[i].threads != FLOOR_THREADS || host_cores < FLOOR_THREADS {
                     continue;
                 }
                 for attempt in 0..2 {
@@ -765,81 +664,6 @@ fn main() {
                 row.requeues
             );
         }
-    }
-
-    // ---- intra-run channel sharding ----------------------------------
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let (shard_cfg, shard_mix) = shard_scenario(scale);
-    // Same four-window span as the engine matrix: long enough that
-    // host jitter is a few percent of each measurement.
-    let shard_span = shard_cfg.trefw() * 4;
-    println!(
-        "\nsharding: {SHARD_CHANNELS}-channel stall-heavy at {:.0} ns pitch, \
-         serial walk vs ShardMode::Channel, median of {reps} rep(s)",
-        shard_cfg.step.as_ps() as f64 / 1000.0
-    );
-    println!("{:<8} {:>10} {:>9}", "threads", "wall (s)", "speedup");
-    let mut shard_rows: Vec<ShardRow> = Vec::new();
-    for &t in &shard_threads_list {
-        shard_rows.push(measure_shard_row(
-            &shard_cfg, &shard_mix, shard_span, t, reps,
-        ));
-    }
-    let shard_baseline_idx = (0..shard_rows.len())
-        .min_by_key(|&i| shard_rows[i].threads)
-        .expect("non-empty");
-    // The sharded walk must assemble the *same machine* as the serial
-    // walk at every worker count; a divergence is a determinism bug,
-    // not jitter, so it fails unconditionally.
-    for row in &shard_rows {
-        assert_eq!(
-            row.result, shard_rows[shard_baseline_idx].result,
-            "sharded run diverged from the serial walk at {} shard thread(s)",
-            row.threads
-        );
-    }
-    if check {
-        // Same interference policy as every other floor: re-measure a
-        // failing floor row up to twice, keep the best wall. The floor
-        // only applies on hosts with enough cores to park one worker
-        // per channel.
-        for i in 0..shard_rows.len() {
-            if shard_rows[i].threads != SHARD_FLOOR_THREADS
-                || host_cores < SHARD_FLOOR_THREADS as usize
-            {
-                continue;
-            }
-            for attempt in 0..2 {
-                let speedup = shard_rows[shard_baseline_idx].wall_s / shard_rows[i].wall_s;
-                if speedup >= SHARD_FLOOR {
-                    break;
-                }
-                eprintln!(
-                    "note: {SHARD_FLOOR_THREADS}-thread shard speedup {speedup:.2}x below \
-                     {SHARD_FLOOR:.2}x floor; re-measuring ({}/2)",
-                    attempt + 1
-                );
-                let again = measure_shard_row(
-                    &shard_cfg,
-                    &shard_mix,
-                    shard_span,
-                    SHARD_FLOOR_THREADS,
-                    reps,
-                );
-                if again.wall_s < shard_rows[i].wall_s {
-                    shard_rows[i] = again;
-                }
-            }
-        }
-    }
-    let shard_baseline_wall = shard_rows[shard_baseline_idx].wall_s;
-    for row in &shard_rows {
-        println!(
-            "{:<8} {:>10.3} {:>8.2}x",
-            row.threads,
-            row.wall_s,
-            shard_baseline_wall / row.wall_s
-        );
     }
 
     let mut json = String::new();
@@ -895,8 +719,9 @@ fn main() {
         );
     }
     let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
+    let _ = write!(json, "  }}");
     if !scaling_rows.is_empty() {
+        let _ = writeln!(json, ",");
         let baseline_wall = scaling_rows
             .iter()
             .min_by_key(|r| r.threads)
@@ -938,43 +763,9 @@ fn main() {
             );
         }
         let _ = writeln!(json, "    ]");
-        let _ = writeln!(json, "  }},");
+        let _ = write!(json, "  }}");
     }
-    let _ = writeln!(json, "  \"sharding\": {{");
-    let _ = writeln!(json, "    \"channels\": {SHARD_CHANNELS},");
-    let _ = writeln!(json, "    \"span_ps\": {},", shard_span.as_ps());
-    let _ = writeln!(json, "    \"reps\": {reps},");
-    let _ = writeln!(json, "    \"floor_threads\": {SHARD_FLOOR_THREADS},");
-    let _ = writeln!(json, "    \"floor\": {SHARD_FLOOR},");
-    // Same host-class honesty as the scaling block: record the core
-    // count and say outright when the floor cannot apply here.
-    let _ = writeln!(json, "    \"host_cores\": {host_cores},");
-    let _ = writeln!(
-        json,
-        "    \"floor_skipped\": {},",
-        host_cores < SHARD_FLOOR_THREADS as usize
-    );
-    if host_cores < SHARD_FLOOR_THREADS as usize {
-        let _ = writeln!(
-            json,
-            "    \"note\": \"host has {host_cores} core(s), below the \
-             {SHARD_FLOOR_THREADS}-thread floor class; speedups are recorded but not gated\","
-        );
-    }
-    let _ = writeln!(json, "    \"rows\": [");
-    for (i, row) in shard_rows.iter().enumerate() {
-        let comma = if i + 1 < shard_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"threads\": {}, \"wall_s\": {:.6}, \"speedup\": {:.4}}}{comma}",
-            row.threads,
-            row.wall_s,
-            shard_baseline_wall / row.wall_s
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
+    let _ = writeln!(json, "\n}}");
     // Atomic publish so a concurrent reader (or a crash mid-write)
     // never observes a truncated artifact.
     refsim_core::vfs::write_atomic(
@@ -1011,7 +802,6 @@ fn main() {
             }
         }
         if !scaling_rows.is_empty() {
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
             let baseline_wall = scaling_rows
                 .iter()
                 .min_by_key(|r| r.threads)
@@ -1022,9 +812,9 @@ fn main() {
                     continue;
                 }
                 let speedup = baseline_wall / row.wall_s;
-                if cores < FLOOR_THREADS {
+                if host_cores < FLOOR_THREADS {
                     eprintln!(
-                        "note: host has {cores} core(s); skipping the {FLOOR_THREADS}-worker \
+                        "note: host has {host_cores} core(s); skipping the {FLOOR_THREADS}-worker \
                          {SCALING_FLOOR:.2}x scaling floor"
                     );
                 } else if speedup < SCALING_FLOOR {
@@ -1036,31 +826,12 @@ fn main() {
                 }
             }
         }
-        for row in &shard_rows {
-            if row.threads != SHARD_FLOOR_THREADS {
-                continue;
-            }
-            let speedup = shard_baseline_wall / row.wall_s;
-            if host_cores < SHARD_FLOOR_THREADS as usize {
-                eprintln!(
-                    "note: host has {host_cores} core(s); skipping the \
-                     {SHARD_FLOOR_THREADS}-thread {SHARD_FLOOR:.2}x sharding floor"
-                );
-            } else if speedup < SHARD_FLOOR {
-                eprintln!(
-                    "FAIL: sharded speedup {speedup:.2}x at {SHARD_FLOOR_THREADS} threads is \
-                     below the {SHARD_FLOOR:.2}x floor"
-                );
-                failed = true;
-            }
-        }
         if failed {
             std::process::exit(1);
         }
         println!(
             "check passed: event-skip >=3x on {REFERENCE}, no slower elsewhere; \
-             batched tick >= {HOTPATH_FLOOR}x on {HOTPATH_FLOORED:?}; \
-             sharded walk bit-identical to serial"
+             batched tick >= {HOTPATH_FLOOR}x on {HOTPATH_FLOORED:?}"
         );
     }
 }

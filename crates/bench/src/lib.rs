@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::num::NonZeroU32;
 use std::path::PathBuf;
 
 use refsim_core::experiment::ExpOptions;
@@ -53,7 +54,12 @@ impl Cli {
 
     /// Parses an explicit argument list (testable).
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
-        let mut opts = ExpOptions::full();
+        // `--quick` picks the preset the other flags then override, so it
+        // is applied first whatever its position on the command line.
+        let mut quick = false;
+        let mut time_scale = None;
+        let mut seed = None;
+        let mut threads = None;
         let mut csv = false;
         let mut cache = RunCache::from_env();
         let mut no_cache = false;
@@ -62,22 +68,19 @@ impl Cli {
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--quick" => {
-                    let threads = opts.threads;
-                    opts = ExpOptions::quick();
-                    opts.threads = threads;
-                }
+                "--quick" => quick = true,
                 "--scale" => {
                     let v = it.next().expect("--scale needs a value");
-                    opts.time_scale = v.parse().expect("--scale must be an integer");
+                    let scale: NonZeroU32 = v.parse().expect("--scale must be an integer >= 1");
+                    time_scale = Some(scale.get());
                 }
                 "--seed" => {
                     let v = it.next().expect("--seed needs a value");
-                    opts.seed = v.parse().expect("--seed must be an integer");
+                    seed = Some(v.parse().expect("--seed must be an integer"));
                 }
                 "--threads" => {
                     let v = it.next().expect("--threads needs a value");
-                    opts.threads = v.parse().expect("--threads must be an integer");
+                    threads = Some(v.parse().expect("--threads must be an integer"));
                 }
                 "--csv" => csv = true,
                 "--cache-dir" => {
@@ -103,6 +106,14 @@ impl Cli {
                 other => panic!("unknown flag {other}; try --help"),
             }
         }
+        let mut opts = if quick {
+            ExpOptions::quick()
+        } else {
+            ExpOptions::full()
+        };
+        opts.time_scale = time_scale.unwrap_or(opts.time_scale);
+        opts.seed = seed.unwrap_or(opts.seed);
+        opts.threads = threads.unwrap_or(opts.threads);
         opts.cache = if no_cache { None } else { cache };
         Cli {
             opts,
@@ -201,6 +212,23 @@ mod tests {
         assert_eq!(cli.opts.time_scale, 64);
         assert_eq!(cli.opts.seed, 7);
         assert_eq!(cli.opts.workloads.len(), 4);
+    }
+
+    #[test]
+    fn quick_preset_does_not_override_earlier_flags() {
+        let cli = Cli::from_args(
+            ["--seed", "7", "--scale", "64", "--threads", "3", "--quick"].map(String::from),
+        );
+        assert_eq!(cli.opts.time_scale, 64);
+        assert_eq!(cli.opts.seed, 7);
+        assert_eq!(cli.opts.threads, 3);
+        assert_eq!(cli.opts.workloads.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale must be an integer >= 1")]
+    fn rejects_zero_scale() {
+        let _ = Cli::from_args(["--scale", "0"].map(String::from));
     }
 
     #[test]

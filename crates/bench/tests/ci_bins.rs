@@ -1,11 +1,16 @@
-//! Every `--bin NAME` that CI or the profiling script runs must name a
-//! binary of this crate, or that step fails only where it executes.
+//! Every `--bin NAME` that CI, the gate script or the profiling script
+//! runs must name a binary of this crate, or that step fails only where
+//! it executes.
 
 use std::path::{Path, PathBuf};
 
 /// Files whose `cargo run/build --bin` commands must resolve, relative
 /// to the workspace root.
-const GATE_FILES: &[&str] = &[".github/workflows/ci.yml", "scripts/profile.sh"];
+const GATE_FILES: &[&str] = &[
+    ".github/workflows/ci.yml",
+    "scripts/gates.sh",
+    "scripts/profile.sh",
+];
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")

@@ -53,28 +53,6 @@ pub enum EngineKind {
     EventSkip,
 }
 
-/// How the per-channel memory backends are ticked inside one run (see
-/// DESIGN.md "Intra-run channel sharding").
-///
-/// Channels are independent between enqueue points — a channel's
-/// advance never reads core, scheduler, or sibling-channel state — so
-/// a span's per-channel ticks commute. `Channel` exploits that by
-/// fanning the per-step channel advances out over a scoped worker pool
-/// while completions, traces, and stats are still merged in strict
-/// channel order; results are bit-identical to `Serial` at any thread
-/// count (pinned by the engine-equivalence suite). `Serial` is kept as
-/// the correctness anchor, mirroring `TickPath::ScalarReference`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardMode {
-    /// Walk channels one after another on the calling thread.
-    #[default]
-    Serial,
-    /// Tick channels in parallel, one shard per channel, merged in
-    /// channel order. Falls back to the serial walk when the effective
-    /// worker count (or the channel count) is 1.
-    Channel,
-}
-
 /// Full system configuration.
 ///
 /// Build one from a preset and adjust fields with the `with_*` helpers:
@@ -173,19 +151,6 @@ pub struct SystemConfig {
     /// artifacts.
     #[serde(default)]
     pub tick_path: TickPath,
-    /// Intra-run channel-shard mode (see [`ShardMode`]). `Serial` by
-    /// default. The run cache salts its fingerprint with the mode (the
-    /// `TickPath` convention) but *not* with the thread count, because
-    /// sharded results are bit-identical at any thread count.
-    #[serde(default)]
-    pub shard: ShardMode,
-    /// Worker-thread budget for [`ShardMode::Channel`]; `None` shares
-    /// the sweep executor's budget (`REFSIM_THREADS`, else the host's
-    /// available parallelism). The effective shard count is additionally
-    /// capped at the channel count. Has no effect under
-    /// [`ShardMode::Serial`].
-    #[serde(default)]
-    pub shard_threads: Option<u32>,
 }
 
 impl SystemConfig {
@@ -222,8 +187,6 @@ impl SystemConfig {
             backend: BackendKind::Primary,
             shadow: ShadowConfig::default(),
             tick_path: TickPath::Batched,
-            shard: ShardMode::Serial,
-            shard_threads: None,
         }
     }
 
@@ -292,20 +255,6 @@ impl SystemConfig {
     /// per channel fed to Algorithm 3).
     pub fn with_channels(mut self, channels: u32) -> Self {
         self.channels = channels;
-        self
-    }
-
-    /// Sets the intra-run channel-shard mode (see [`ShardMode`]).
-    pub fn with_shard(mut self, mode: ShardMode) -> Self {
-        self.shard = mode;
-        self
-    }
-
-    /// Selects [`ShardMode::Channel`] with an explicit worker-thread
-    /// budget (see [`SystemConfig::shard_threads`]).
-    pub fn with_shard_threads(mut self, threads: u32) -> Self {
-        self.shard = ShardMode::Channel;
-        self.shard_threads = Some(threads);
         self
     }
 
@@ -473,8 +422,18 @@ impl SystemConfig {
         if self.step == Ps::ZERO {
             return bad("advancement step must be positive".to_owned());
         }
-        if self.shard_threads == Some(0) {
-            return bad("shard_threads must be >= 1 when set".to_owned());
+        // `RefreshTiming::scaled` asserts both; reject them here so a bad
+        // scale is a typed error row, not a panic.
+        if self.time_scale == 0 {
+            return bad("time_scale must be >= 1".to_owned());
+        }
+        if self.trefw() < self.retention.trefi_ab() {
+            return bad(format!(
+                "time_scale {} leaves tREFW ({}) below tREFIab ({})",
+                self.time_scale,
+                self.trefw(),
+                self.retention.trefi_ab()
+            ));
         }
         if self.effective_timeslice() == Ps::ZERO {
             return bad("timeslice must be positive".to_owned());
@@ -601,15 +560,6 @@ mod tests {
         // 8 channels × 1 rank × 8 banks = 64 fits exactly.
         let c = SystemConfig::table1().with_channels(8).with_ranks(1);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_zero_shard_threads() {
-        let mut c = SystemConfig::table1().with_shard_threads(1);
-        assert!(c.validate().is_ok());
-        c.shard_threads = Some(0);
-        let e = c.validate().unwrap_err();
-        assert!(e.to_string().contains("shard_threads"), "{e}");
     }
 
     #[test]

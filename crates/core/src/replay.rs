@@ -517,7 +517,9 @@ mod tests {
         // Golden values of the byte-collecting definition, `fnv64` of
         // each component's `to_bytes`: the streamed hash, the zero-word
         // fold and the copy-on-write page map must leave them, and the
-        // checkpoint bytes, unchanged.
+        // checkpoint bytes, unchanged. The checkpoint header carries the
+        // config fingerprint, so its pin also moves with
+        // `runcache::CACHE_SCHEMA`.
         let cfg = tiny_cfg(0x601D).with_density(refsim_dram::timing::Density::Gb32);
         let mix = tiny_mix();
         let mut sys = System::new(cfg, &mix);
@@ -539,7 +541,7 @@ mod tests {
             (
                 "checkpoint bytes",
                 crate::codec::fnv64(&sys.checkpoint(&mix).to_bytes()),
-                0x9ed1_08d9_0768_d2bd,
+                0x9d46_7005_0973_40e6,
             ),
         ];
         for (what, got, want) in pins {

@@ -65,7 +65,7 @@ use refsim_workloads::mix::WorkloadMix;
 use refsim_dram::mapping::MappingScheme;
 
 use crate::codec::{self, CodecError, Dec, Enc, Snapshot};
-use crate::config::{EngineKind, ShardMode, SystemConfig};
+use crate::config::{EngineKind, SystemConfig};
 use crate::metrics::RunMetrics;
 use crate::sanitize::AuditLevel;
 use crate::vfs::{self, std_vfs, Vfs, VfsError, VfsErrorKind};
@@ -83,10 +83,9 @@ pub const CACHE_VERSION: u32 = 1;
 /// paths are bit-identical by construction, but the fingerprint keeps
 /// them distinguishable so an equivalence regression can never alias
 /// cache entries across them. v4: the shard-mode knob joined the
-/// preimage under the same rule (the sharded walk is proven
-/// bit-identical to the serial one); the shard *thread budget* is
-/// deliberately excluded because results do not depend on it.
-pub const CACHE_SCHEMA: u32 = 4;
+/// preimage under the same rule. v5: the shard-mode knob left the
+/// preimage again with the intra-run channel-sharded walk it selected.
+pub const CACHE_SCHEMA: u32 = 5;
 
 /// Environment variable naming the shared cache directory.
 pub const CACHE_DIR_ENV: &str = "REFSIM_CACHE_DIR";
@@ -260,17 +259,6 @@ pub fn fingerprint_bytes(cfg: &SystemConfig, mix: &WorkloadMix) -> Vec<u8> {
     e.put_u8(match cfg.tick_path {
         TickPath::Batched => 0,
         TickPath::ScalarReference => 1,
-    });
-    // Shard mode follows the same rule as `tick_path`: sharded and
-    // serial walks are bit-identical by construction, but a cached
-    // artifact records which walk produced it so an equivalence
-    // regression can never alias entries across them. The shard
-    // *thread budget* (`shard_threads` / REFSIM_THREADS) is
-    // deliberately excluded — results are identical at any worker
-    // count, so differently provisioned hosts share cache artifacts.
-    e.put_u8(match cfg.shard {
-        ShardMode::Serial => 0,
-        ShardMode::Channel => 1,
     });
 
     // The mix: task list only. Benchmarks are encoded by name, which is

@@ -12,14 +12,11 @@
 //! (Algorithm 3) can dodge the bank being refreshed.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use refsim_cpu::core::ExecContext;
 use refsim_cpu::hierarchy::{CacheHierarchy, HierOutcome};
 use refsim_dram::backend::{build_backend, MemoryBackend, TickPath};
 use refsim_dram::controller::TraceEntry;
-use refsim_dram::error::DramError;
 use refsim_dram::mapping::AddressMapping;
 use refsim_dram::refresh::BusyForecast;
 use refsim_dram::request::{Completion, MemRequest, ReqId, ReqKind};
@@ -36,9 +33,8 @@ use crate::checkpoint::{
     config_fingerprint, Checkpoint, SavedBaseline, SavedCore, SavedInflight, SavedPendingMem,
     SavedSim, SavedSystem, SavedTask,
 };
-use crate::config::{EngineKind, ShardMode, SystemConfig};
+use crate::config::{EngineKind, SystemConfig};
 use crate::error::{RefsimError, SystemSnapshot};
-use crate::executor::default_threads;
 use crate::fastmap::FnvMap;
 use crate::metrics::{RunMetrics, TaskMetrics};
 use crate::sanitize::{
@@ -133,12 +129,7 @@ struct TaskSnapshot {
 pub struct System {
     cfg: SystemConfig,
     clock: Ps,
-    /// Per-channel memory backends. Owned directly between spans; during
-    /// a [`ShardMode::Channel`] span they are moved into
-    /// [`System::shard_span`]'s mutex lanes (this vector is empty then)
-    /// and moved back when the span's worker scope joins. All span-path
-    /// code reaches them through [`System::mc`]/[`System::mc_ref`],
-    /// which resolve to a plain `&mut`/`&` when no span is active.
+    /// Per-channel memory backends, in channel order.
     mcs: Vec<Box<dyn MemoryBackend>>,
     /// The shared-address-mapping copy (identical in every channel
     /// backend), kept here so request routing never singles out a
@@ -181,150 +172,6 @@ pub struct System {
     /// part of the checkpointed state: a restored system starts with no
     /// hook, and the owning attempt re-installs its own.
     cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Active [`ShardMode::Channel`] span, if any: the mutex-wrapped
-    /// channel lanes workers tick plus the step-handoff coordinator.
-    /// `None` whenever control is outside `try_run_until`.
-    shard_span: Option<ShardSpan>,
-}
-
-/// Mutex-wrapped per-channel backends shared with the span's workers.
-type ShardLanes = Arc<Vec<Mutex<Box<dyn MemoryBackend>>>>;
-
-/// Locks a shard lane, ignoring poisoning: a panicking worker aborts
-/// the span anyway (the scope re-raises the panic after join), so a
-/// poisoned lane is only ever read for post-mortem diagnostics.
-fn lock_lane(m: &Mutex<Box<dyn MemoryBackend>>) -> MutexGuard<'_, Box<dyn MemoryBackend>> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Span-scoped state for [`ShardMode::Channel`]: worker threads live
-/// for the whole `try_run_until` span (spawned once, not per step) and
-/// the per-step handoff is three atomics — publish the step boundary,
-/// bump the sequence, wait for every worker's acknowledgement.
-#[derive(Debug)]
-struct ShardSpan {
-    lanes: ShardLanes,
-    /// First error each channel's advance produced, harvested by the
-    /// main thread in channel order (lowest channel wins) so the
-    /// surfaced error is deterministic regardless of worker timing.
-    errs: Arc<Vec<Mutex<Option<DramError>>>>,
-    coord: Arc<ShardCoord>,
-    workers: usize,
-}
-
-/// The step-handoff protocol (see DESIGN.md "Intra-run channel
-/// sharding"): the main thread stores `target`, then bumps `seq`
-/// (release); workers spin on `seq` (acquire), tick their channels to
-/// `target`, and each adds 1 to `done` (release); the main thread spins
-/// until `done == seq × workers`. `stop` ends the worker loops — set
-/// before a final `seq` bump so spinners wake and observe it.
-#[derive(Debug, Default)]
-struct ShardCoord {
-    seq: AtomicU64,
-    target: AtomicU64,
-    done: AtomicU64,
-    stop: AtomicBool,
-}
-
-/// Spin-then-yield wait: cheap when shards outnumber nothing (workers
-/// park between steps for well under a microsecond), and still correct
-/// on over-subscribed hosts where yielding lets the sibling run.
-fn spin_until(mut ready: impl FnMut() -> bool) {
-    let mut spins = 0u32;
-    while !ready() {
-        spins += 1;
-        if spins < 128 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Worker loop for one shard: waits for each published step, advances
-/// its assigned channels to the boundary, and acknowledges. Channel
-/// assignment is round-robin by index and fixed for the span.
-fn shard_worker(
-    lanes: &[Mutex<Box<dyn MemoryBackend>>],
-    errs: &[Mutex<Option<DramError>>],
-    coord: &ShardCoord,
-    channels: &[usize],
-) {
-    let mut seen = 0u64;
-    loop {
-        let mut next = seen;
-        spin_until(|| {
-            next = coord.seq.load(Ordering::Acquire);
-            next != seen
-        });
-        seen = next;
-        if coord.stop.load(Ordering::Acquire) {
-            return;
-        }
-        let target = Ps(coord.target.load(Ordering::Acquire));
-        for &ch in channels {
-            let mut mc = lock_lane(&lanes[ch]);
-            if let Err(e) = mc.try_advance_to(target) {
-                let mut slot = errs[ch].lock().unwrap_or_else(PoisonError::into_inner);
-                slot.get_or_insert(e);
-            }
-        }
-        coord.done.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Releases the span's workers when dropped — including during a panic
-/// unwind, where `std::thread::scope` would otherwise join against
-/// workers still spinning on the next step.
-struct StopWorkersOnDrop<'a>(&'a ShardCoord);
-
-impl Drop for StopWorkersOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.stop.store(true, Ordering::Release);
-        self.0.seq.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Shared (read) access to one channel backend: a plain borrow between
-/// spans, a lane lock during a [`ShardMode::Channel`] span.
-enum McRef<'a> {
-    Own(&'a (dyn MemoryBackend + 'static)),
-    Lane(MutexGuard<'a, Box<dyn MemoryBackend>>),
-}
-
-impl std::ops::Deref for McRef<'_> {
-    type Target = dyn MemoryBackend + 'static;
-    fn deref(&self) -> &Self::Target {
-        match self {
-            McRef::Own(m) => *m,
-            McRef::Lane(g) => &***g,
-        }
-    }
-}
-
-/// Exclusive access to one channel backend (see [`McRef`]).
-enum McMut<'a> {
-    Own(&'a mut (dyn MemoryBackend + 'static)),
-    Lane(MutexGuard<'a, Box<dyn MemoryBackend>>),
-}
-
-impl std::ops::Deref for McMut<'_> {
-    type Target = dyn MemoryBackend + 'static;
-    fn deref(&self) -> &Self::Target {
-        match self {
-            McMut::Own(m) => &**m,
-            McMut::Lane(g) => &***g,
-        }
-    }
-}
-
-impl std::ops::DerefMut for McMut<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        match self {
-            McMut::Own(m) => *m,
-            McMut::Lane(g) => &mut ***g,
-        }
-    }
 }
 
 /// Telemetry for the step loop and the event-horizon skip decisions.
@@ -504,7 +351,6 @@ impl System {
             skip_overshoot,
             engine_stats: EngineStats::default(),
             cancel: None,
-            shard_span: None,
         };
         if sys.san.is_some() {
             // Checkers consume the controller command trace as events.
@@ -642,143 +488,17 @@ impl System {
             .unwrap_or_else(|e| panic!("simulation failed: {e}"));
     }
 
-    /// Exclusive access to channel `ch`'s backend: a plain borrow
-    /// between spans, a (virtually uncontended) lane lock during a
-    /// [`ShardMode::Channel`] span — the main thread only touches lanes
-    /// while workers are parked between steps.
-    fn mc(&mut self, ch: usize) -> McMut<'_> {
-        match &self.shard_span {
-            Some(span) => McMut::Lane(lock_lane(&span.lanes[ch])),
-            None => McMut::Own(&mut *self.mcs[ch]),
-        }
-    }
-
-    /// Shared access to channel `ch`'s backend (see [`System::mc`]).
-    fn mc_ref(&self, ch: usize) -> McRef<'_> {
-        match &self.shard_span {
-            Some(span) => McRef::Lane(lock_lane(&span.lanes[ch])),
-            None => McRef::Own(&*self.mcs[ch]),
-        }
-    }
-
-    /// The effective shard-worker count: 1 (serial walk) unless
-    /// [`ShardMode::Channel`] is selected, in which case the configured
-    /// budget — `shard_threads`, else the sweep executor's
-    /// [`default_threads`] (`REFSIM_THREADS`-overridable) — capped at
-    /// the channel count.
-    fn shard_workers(&self) -> usize {
-        if self.cfg.shard != ShardMode::Channel {
-            return 1;
-        }
-        let budget = self
-            .cfg
-            .shard_threads
-            .map(|n| n as usize)
-            .unwrap_or_else(default_threads);
-        budget.clamp(1, self.cfg.channels as usize)
-    }
-
     /// Fallible [`System::run_until`], guarded by a forward-progress
     /// watchdog: the step loop gets a budget comfortably above the
     /// maximum number of step/quantum boundaries the span can contain,
     /// and exceeding it returns [`RefsimError::NoProgress`] with a
     /// [`SystemSnapshot`] instead of hanging the harness.
     ///
-    /// Under [`ShardMode::Channel`] (with ≥ 2 channels and ≥ 2 worker
-    /// threads) the span runs with per-channel ticks fanned out over a
-    /// scoped worker pool; completions, traces, and stats are merged in
-    /// strict channel order, so results are bit-identical to the serial
-    /// walk (pinned by the engine-equivalence suite).
-    ///
     /// # Errors
     ///
     /// Propagates controller faults ([`RefsimError::Dram`]), memory
     /// exhaustion, and watchdog trips.
     pub fn try_run_until(&mut self, t_end: Ps) -> Result<(), RefsimError> {
-        let workers = self.shard_workers();
-        if workers > 1 && self.clock < t_end {
-            self.run_span_sharded(t_end, workers)
-        } else {
-            self.run_span(t_end)
-        }
-    }
-
-    /// Runs one sharded span: moves the channel backends into mutex
-    /// lanes, spawns `workers` scoped shard threads (once for the whole
-    /// span — the per-step handoff is atomics, not thread churn), runs
-    /// the ordinary step loop with phase 4's advances delegated to the
-    /// workers, then joins and moves the backends back.
-    fn run_span_sharded(&mut self, t_end: Ps, workers: usize) -> Result<(), RefsimError> {
-        debug_assert!(self.shard_span.is_none(), "shard spans must not nest");
-        let n = self.mcs.len();
-        let lanes: ShardLanes = Arc::new(
-            std::mem::take(&mut self.mcs)
-                .into_iter()
-                .map(Mutex::new)
-                .collect(),
-        );
-        let errs: Arc<Vec<Mutex<Option<DramError>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let coord = Arc::new(ShardCoord::default());
-        self.shard_span = Some(ShardSpan {
-            lanes: Arc::clone(&lanes),
-            errs: Arc::clone(&errs),
-            coord: Arc::clone(&coord),
-            workers,
-        });
-        let result = std::thread::scope(|scope| {
-            // Dropped on every exit path — normal return, error, or
-            // panic unwind — so the workers' spin loops always end
-            // before the scope joins them.
-            let _stop = StopWorkersOnDrop(&coord);
-            for w in 0..workers {
-                let lanes = Arc::clone(&lanes);
-                let errs = Arc::clone(&errs);
-                let coord = Arc::clone(&coord);
-                let channels: Vec<usize> = (0..n).filter(|ch| ch % workers == w).collect();
-                scope.spawn(move || shard_worker(&lanes, &errs, &coord, &channels));
-            }
-            self.run_span(t_end)
-        });
-        self.shard_span = None;
-        drop((errs, coord));
-        let lanes = match Arc::try_unwrap(lanes) {
-            Ok(lanes) => lanes,
-            // Workers joined and the span handle was dropped above, so
-            // this Arc is the last one; unreachable by construction.
-            Err(_) => unreachable!("shard lanes still shared after scope join"),
-        };
-        self.mcs = lanes
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        result
-    }
-
-    /// Publishes `step_end` to the span's workers, waits for every
-    /// shard's acknowledgement, and surfaces the lowest-channel error if
-    /// any advance faulted (deterministic regardless of worker timing).
-    fn advance_channels_sharded(&mut self, step_end: Ps) -> Result<(), RefsimError> {
-        let span = self.shard_span.as_ref().expect("sharded span active");
-        span.coord.target.store(step_end.as_ps(), Ordering::Relaxed);
-        let seq = span.coord.seq.fetch_add(1, Ordering::Release) + 1;
-        let want = seq.saturating_mul(span.workers as u64);
-        spin_until(|| span.coord.done.load(Ordering::Acquire) >= want);
-        for errslot in span.errs.iter() {
-            let taken = errslot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            if let Some(e) = taken {
-                return Err(e.into());
-            }
-        }
-        Ok(())
-    }
-
-    /// The step loop shared by the serial and sharded paths (the latter
-    /// only swaps how phase 4's channel advances are executed).
-    fn run_span(&mut self, t_end: Ps) -> Result<(), RefsimError> {
         let span = t_end.saturating_sub(self.clock).as_ps();
         let budget = watchdog_budget(
             span,
@@ -831,26 +551,17 @@ impl System {
             for c in 0..self.cores.len() {
                 self.run_core(c, step_end)?;
             }
-            // 4. Memory advances; completions unblock contexts. The
-            //    advances run serially or fan out to the shard workers;
-            //    either way completions are merged *after* every channel
-            //    reached the boundary, in strict channel order. That
-            //    order is identical to the historical per-channel
-            //    advance-then-drain interleaving because a channel's
-            //    advance never reads core, task, or sibling-channel
-            //    state — only phase 3's enqueues feed it.
+            // 4. Memory advances channel by channel; each channel's
+            //    completions unblock contexts before the next channel
+            //    advances (a channel's advance never reads core, task, or
+            //    sibling-channel state, so only the delivery order —
+            //    channel order — is observable).
             let n_ch = self.cfg.channels as usize;
-            if self.shard_span.is_some() {
-                self.advance_channels_sharded(step_end)?;
-            } else {
-                for ch in 0..n_ch {
-                    self.mcs[ch].try_advance_to(step_end)?;
-                }
-            }
             for ch in 0..n_ch {
+                self.mcs[ch].try_advance_to(step_end)?;
                 let mut comp = std::mem::take(&mut self.comp_buf);
                 comp.clear();
-                self.mc(ch).drain_completions_into(&mut comp);
+                self.mcs[ch].drain_completions_into(&mut comp);
                 for done in &comp {
                     if let Some((task, core, line)) = self.inflight.remove(done.id.0) {
                         self.cores[core as usize].inflight_lines.remove(&line);
@@ -869,7 +580,7 @@ impl System {
                 let mut buf = std::mem::take(&mut self.trace_buf);
                 for ch in 0..n_ch {
                     buf.clear();
-                    self.mc(ch).drain_trace_into(&mut buf);
+                    self.mcs[ch].drain_trace_into(&mut buf);
                     if let Some(san) = self.san.as_mut() {
                         for e in &buf {
                             san.on_event(&Event::DramCmd {
@@ -970,8 +681,7 @@ impl System {
         }
         let n_ch = self.cfg.channels as usize;
         for ch in 0..n_ch {
-            let cap = self.mc_ref(ch).advance_cap();
-            if let Some(cap) = cap {
+            if let Some(cap) = self.mcs[ch].advance_cap() {
                 if cap <= w {
                     w = w.min(self.chain_floor(Ps(cap.as_ps().saturating_sub(1))));
                     self.engine_stats.epoch_bound += 1;
@@ -982,12 +692,12 @@ impl System {
             return Ok(step_end);
         }
         debug_assert!(
-            (0..n_ch).all(|ch| !self.mc_ref(ch).has_completions()),
+            (0..n_ch).all(|ch| !self.mcs[ch].has_completions()),
             "completions must be drained before a skip decision"
         );
         if n_ch == 1 {
-            if self.mc_ref(0).queue_depths().0 > 0 {
-                let cas = self.mc(0).try_advance_until_completion(w)?;
+            if self.mcs[0].queue_depths().0 > 0 {
+                let cas = self.mcs[0].try_advance_until_completion(w)?;
                 if let Some(cas_at) = cas {
                     w = w.min(self.chain_ceil(cas_at));
                     self.engine_stats.completion_bound += 1;
@@ -1010,11 +720,10 @@ impl System {
             // as usual.
             let mut bounds: Vec<(Ps, usize)> = Vec::with_capacity(n_ch);
             for ch in 0..n_ch {
-                if self.mc_ref(ch).queue_depths().0 == 0 {
+                if self.mcs[ch].queue_depths().0 == 0 {
                     continue;
                 }
-                let next = self.mc(ch).next_event_time();
-                if let Some(t) = next {
+                if let Some(t) = self.mcs[ch].next_event_time() {
                     bounds.push((t, ch));
                 }
             }
@@ -1032,7 +741,7 @@ impl System {
                     .min()
                     .unwrap_or(w);
                 let target = lb2.min(w);
-                let cas = self.mc(ch1).try_advance_until_completion(target)?;
+                let cas = self.mcs[ch1].try_advance_until_completion(target)?;
                 if let Some(cas_at) = cas {
                     // Every sibling's earliest action is ≥ lb2 ≥ cas_at,
                     // so this is the global earliest completion (ties
@@ -1044,9 +753,8 @@ impl System {
                 // No completion up to `target`: the channel's cursor sits
                 // at `target` and its bound strictly grew; re-derive it.
                 bounds.retain(|&(_, c)| c != ch1);
-                if self.mc_ref(ch1).queue_depths().0 > 0 {
-                    let next = self.mc(ch1).next_event_time();
-                    if let Some(t) = next {
+                if self.mcs[ch1].queue_depths().0 > 0 {
+                    if let Some(t) = self.mcs[ch1].next_event_time() {
                         bounds.push((t, ch1));
                     }
                 }
@@ -1103,9 +811,8 @@ impl System {
             picks: sched.picks,
             eta_fallbacks: sched.eta_fallbacks,
             inflight_fills: self.inflight.len(),
-            // Channel 0 stands for the machine in this diagnostic digest;
-            // `mc_ref` keeps it reachable even mid-span (watchdog trips).
-            controller: self.mc_ref(0).state_snapshot(),
+            // Channel 0 stands for the machine in this diagnostic digest.
+            controller: self.mcs[0].state_snapshot(),
         }
     }
 
@@ -1481,8 +1188,7 @@ impl System {
         let (bpc, bpr) = (g.banks_per_channel(), g.banks_per_rank);
         let mut busy = BankVector::EMPTY;
         for ch in 0..self.cfg.channels as usize {
-            let forecast = self.mc_ref(ch).refresh_forecast(start, end);
-            if let BusyForecast::Bank(b) = forecast {
+            if let BusyForecast::Bank(b) = self.mcs[ch].refresh_forecast(start, end) {
                 busy.insert(ch as u32 * bpc + b.flat(bpr));
             }
         }
@@ -1523,7 +1229,7 @@ impl System {
         // could drift — report no boundary and fall back to the fixed
         // timeslice anyway.
         let refresh_aware = matches!(self.sched.policy(), SchedPolicy::RefreshAware { .. });
-        let boundary = self.mc_ref(0).refresh_boundary_after(switch_at);
+        let boundary = self.mcs[0].refresh_boundary_after(switch_at);
         let quantum_end = match boundary {
             Some(b) if refresh_aware => b,
             _ => switch_at + self.sched.timeslice(),
@@ -1605,9 +1311,10 @@ impl System {
                 }
             })
             .collect();
-        let chans = (0..self.cfg.channels as usize)
-            .map(|ch| {
-                let mc = self.mc_ref(ch);
+        let chans = self
+            .mcs
+            .iter()
+            .map(|mc| {
                 let cs = mc.stats();
                 let (rq, wq) = mc.queue_depths();
                 ChannelSample {
@@ -1826,7 +1533,7 @@ impl System {
         if let Some(wb) = p.writeback {
             let loc = self.mapping.decode(wb);
             let ch = loc.channel as usize;
-            if !self.mc(ch).can_accept_write() {
+            if !self.mcs[ch].can_accept_write() {
                 self.sims[cur].pending = Some(p);
                 return false;
             }
@@ -1840,7 +1547,7 @@ impl System {
                 task: cur as u32,
             };
             self.next_req += 1;
-            self.mc(ch).enqueue(req).expect("checked capacity");
+            self.mcs[ch].enqueue(req).expect("checked capacity");
             p.writeback = None;
         }
         if let Some(line) = p.fill {
@@ -1853,7 +1560,7 @@ impl System {
             } else {
                 let loc = self.mapping.decode(line);
                 let ch = loc.channel as usize;
-                if !self.mc(ch).can_accept_read() {
+                if !self.mcs[ch].can_accept_read() {
                     self.sims[cur].pending = Some(p);
                     return false;
                 }
@@ -1868,7 +1575,7 @@ impl System {
                     core: c as u8,
                     task: cur as u32,
                 };
-                self.mc(ch).enqueue(req).expect("checked capacity");
+                self.mcs[ch].enqueue(req).expect("checked capacity");
                 self.inflight.insert(id.0, (cur as u32, c as u8, line));
                 self.cores[c].inflight_lines.insert(line, id);
                 self.sims[cur]
@@ -2044,6 +1751,18 @@ mod tests {
         match System::try_new(bad, &small_mix()) {
             Err(RefsimError::InvalidConfig(why)) => assert!(why.contains("measure")),
             other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        // Out-of-range time scales: zero, and one that leaves tREFW below
+        // tREFIab (64 ms / 16384 ≈ 3.9 µs < 7.8 µs).
+        for scale in [0, 16_384] {
+            let mut bad = quick(SystemConfig::table1());
+            bad.time_scale = scale;
+            match System::try_new(bad, &small_mix()) {
+                Err(RefsimError::InvalidConfig(why)) => {
+                    assert!(why.contains("time_scale"), "{why}")
+                }
+                other => panic!("expected InvalidConfig at scale {scale}, got {other:?}"),
+            }
         }
         let empty = WorkloadMix::from_groups("none", &[], "");
         assert!(matches!(

@@ -127,92 +127,75 @@ fn tick_paths_are_bit_identical_for_every_policy_and_engine() {
     }
 }
 
-/// Intra-run channel sharding (`ShardMode::Channel`) is only allowed to
-/// exist because it is *bit-identical* to the serial channel walk at
-/// any worker count: same `RunMetrics`, same final replay state hash,
-/// for every refresh policy under both engines and both tick paths, at
-/// 1, 2, and 4 shard threads on a 2-channel machine. The serial walk
-/// (`ShardMode::Serial`, the default) is the correctness anchor — the
-/// same role `TickPath::ScalarReference` plays for the batched tick.
+/// Engine equivalence above one channel: on a 2-channel machine the
+/// event-skip engine on the batched tick path must reproduce the
+/// fixed-step engine on the scalar reference walk exactly — same
+/// `RunMetrics`, same final replay state hash — for every refresh
+/// policy. This exercises the multi-channel "advance the laggard"
+/// completion horizon (DESIGN.md §12), which no single-channel run
+/// reaches.
 #[test]
-fn sharded_walk_is_bit_identical_for_every_policy_engine_and_path() {
+fn two_channel_engines_and_paths_are_bit_identical_for_every_policy() {
     use refsim_dram::backend::TickPath;
     for policy in ALL_POLICIES {
-        for engine in [EngineKind::FixedStep, EngineKind::EventSkip] {
-            for path in [TickPath::Batched, TickPath::ScalarReference] {
-                // Half the usual measurement window: this matrix is
-                // 8 × 2 × 2 × (1 + 3) = 128 full runs.
-                let mut base = quick(SystemConfig::table1())
-                    .with_channels(2)
-                    .with_refresh(policy)
-                    .with_engine(engine)
-                    .with_tick_path(path);
-                base.measure = Ps(base.measure.as_ps() / 2);
-                let mix = small_mix();
+        let base = quick(SystemConfig::table1())
+            .with_channels(2)
+            .with_refresh(policy);
+        let mix = small_mix();
 
-                let (m_serial, h_serial) = run_once(&base, &mix);
-                for threads in [1u32, 2, 4] {
-                    let cfg = base.clone().with_shard_threads(threads);
-                    let (m, h) = run_once(&cfg, &mix);
-                    assert_eq!(
-                        m_serial, m,
-                        "RunMetrics diverged: sharded@{threads} vs serial \
-                         under {policy:?}/{engine:?}/{path:?}"
-                    );
-                    assert_eq!(
-                        h_serial.combined(),
-                        h.combined(),
-                        "replay hash diverged: sharded@{threads} vs serial \
-                         under {policy:?}/{engine:?}/{path:?}: {:?}",
-                        h_serial.first_diff(&h)
-                    );
-                }
-            }
-        }
+        let reference = base
+            .clone()
+            .with_engine(EngineKind::FixedStep)
+            .with_tick_path(TickPath::ScalarReference);
+        let fast = base
+            .with_engine(EngineKind::EventSkip)
+            .with_tick_path(TickPath::Batched);
+        let (m_ref, h_ref) = run_once(&reference, &mix);
+        let (m_fast, h_fast) = run_once(&fast, &mix);
+        assert!(
+            m_ref.controller.reads_completed > 0,
+            "the 2-channel run must actually exercise the memory system"
+        );
+        assert_eq!(
+            m_ref, m_fast,
+            "RunMetrics diverged: 2-channel event-skip/batched vs \
+             fixed-step/scalar under {policy:?}"
+        );
+        assert_eq!(
+            h_ref.combined(),
+            h_fast.combined(),
+            "replay hash diverged: 2-channel event-skip/batched vs \
+             fixed-step/scalar under {policy:?}: {:?}",
+            h_ref.first_diff(&h_fast)
+        );
     }
 }
 
 /// Spot check at 4 channels with the full co-design active (sequential
 /// per-bank refresh + soft partitioning + refresh-aware scheduling):
-/// the generalized Algorithm 1/2/3 paths and the sharded walk agree
-/// with the serial walk on a wider machine, with workers both below
-/// and at the channel count.
+/// the generalized Algorithm 1/2/3 paths agree across both engines on
+/// a wider machine.
 #[test]
-fn four_channel_co_design_shards_bit_identically() {
-    use refsim_core::config::ShardMode;
-    for engine in [EngineKind::FixedStep, EngineKind::EventSkip] {
-        let base = quick(SystemConfig::table1().co_design())
-            .with_channels(4)
-            .with_engine(engine);
-        let mix = small_mix();
+fn four_channel_co_design_engines_are_bit_identical() {
+    let base = quick(SystemConfig::table1().co_design()).with_channels(4);
+    let mix = small_mix();
 
-        let (m_serial, h_serial) = run_once(&base, &mix);
-        assert!(
-            m_serial.controller.reads_completed > 0,
-            "the 4-channel run must actually exercise the memory system"
-        );
-        for threads in [2u32, 4] {
-            let cfg = base.clone().with_shard_threads(threads);
-            let (m, h) = run_once(&cfg, &mix);
-            assert_eq!(
-                m_serial, m,
-                "RunMetrics diverged: 4-channel sharded@{threads} vs serial under {engine:?}"
-            );
-            assert_eq!(
-                h_serial.combined(),
-                h.combined(),
-                "replay hash diverged: 4-channel sharded@{threads} vs serial \
-                 under {engine:?}: {:?}",
-                h_serial.first_diff(&h)
-            );
-        }
-        // `ShardMode::Channel` with no explicit budget draws from the
-        // executor's shared pool (REFSIM_THREADS / available cores) —
-        // whatever it resolves to on this host must not change results.
-        let (m_auto, h_auto) = run_once(&base.clone().with_shard(ShardMode::Channel), &mix);
-        assert_eq!(m_serial, m_auto);
-        assert_eq!(h_serial.combined(), h_auto.combined());
-    }
+    let (m_fixed, h_fixed) = run_once(&base.clone().with_engine(EngineKind::FixedStep), &mix);
+    assert!(
+        m_fixed.controller.reads_completed > 0,
+        "the 4-channel run must actually exercise the memory system"
+    );
+    let (m_skip, h_skip) = run_once(&base.with_engine(EngineKind::EventSkip), &mix);
+    assert_eq!(
+        m_fixed, m_skip,
+        "RunMetrics diverged: 4-channel event-skip vs fixed-step"
+    );
+    assert_eq!(
+        h_fixed.combined(),
+        h_skip.combined(),
+        "replay hash diverged: 4-channel event-skip vs fixed-step: {:?}",
+        h_fixed.first_diff(&h_skip)
+    );
 }
 
 /// The sanitizer's Full-audit mode must stay quiet when the event-skip
@@ -232,21 +215,20 @@ fn event_skip_is_quiet_under_full_audit() {
 
 /// Multi-channel runs must satisfy the full invariant suite too: every
 /// `ChannelSample` checker (refresh coverage, postponement debt, bus
-/// occupancy, rank-refresh ordering) walks all channels, and a sharded
+/// occupancy, rank-refresh ordering) walks all channels, and a
 /// 2-channel event-skip run under `AuditLevel::Full` stays violation-
 /// free with the co-design policies active.
 #[test]
-fn two_channel_sharded_run_is_quiet_under_full_audit() {
+fn two_channel_run_is_quiet_under_full_audit() {
     let cfg = quick(SystemConfig::table1().co_design())
         .with_channels(2)
         .with_engine(EngineKind::EventSkip)
-        .with_audit(AuditLevel::Full)
-        .with_shard_threads(2);
+        .with_audit(AuditLevel::Full);
     let mut sys = System::try_new(cfg.clone(), &small_mix()).expect("build");
     sys.try_run_until(cfg.warmup).expect("warmup under audit");
     sys.begin_measure();
     sys.try_run_until(cfg.warmup + cfg.measure)
-        .expect("full-audit 2-channel sharded run must be violation-free");
+        .expect("full-audit 2-channel run must be violation-free");
     let m = sys.collect();
     assert!(
         m.controller.reads_completed > 0,

@@ -191,7 +191,8 @@ fn multi_channel(channels: u32, rows_per_bank: u32) -> Geometry {
 /// Multi-channel geometries must round-trip at every boundary location
 /// of every channel — first/last channel × rank × bank × row × column —
 /// under every scheme, for both 2- and 4-channel machines (the shapes
-/// the sharded engine runs). Includes the non-pow2-rows wrap geometry.
+/// the multi-channel engine tests run). Includes the non-pow2-rows wrap
+/// geometry.
 #[test]
 fn multi_channel_boundaries_round_trip_and_never_alias() {
     for channels in [2u32, 4] {

@@ -89,7 +89,7 @@ proptest! {
 
     /// Channel interleaving is a bijection, and every channel is
     /// actually reachable: on a 2- or 4-channel geometry (the shapes
-    /// the sharded engine runs), decode ∘ encode round-trips for
+    /// the multi-channel engine tests run), decode ∘ encode round-trips for
     /// locations pinned to each channel in turn, and walking the
     /// physical address space line-by-line touches all channels.
     #[test]

@@ -6,9 +6,7 @@
 #   * BENCH_simwall.json — the scenario matrix with the "hotpath" block
 #     (scalar vs batched tick-path walls, and ns_per_command: wall
 #     nanoseconds per retired DRAM command — the profile-stable unit
-#     cost that makes flamegraph diffs comparable across hosts) and the
-#     "sharding" block (serial vs channel-sharded walls on the
-#     4-channel scenario);
+#     cost that makes flamegraph diffs comparable across hosts);
 #   * perf-stat.txt      — hardware counters for the compute-bound
 #     scenario run, when `perf` is available;
 #   * flamegraph.svg     — a CPU flamegraph of the same run, when
@@ -67,23 +65,14 @@ doc = json.load(open(sys.argv[1]))
 print(f"{'scenario':<20} {'ratio':>7} {'ns/cmd':>10}")
 for row in doc.get("hotpath", {}).get("rows", []):
     print(f"{row['name']:<20} {row['ratio']:>6.2f}x {row['ns_per_command']:>10.2f}")
-sh = doc.get("sharding", {})
-if sh:
-    gate = "skipped" if sh.get("floor_skipped") else "gated"
-    print(f"sharding ({sh.get('channels')}ch, floor {gate}):")
-    for row in sh.get("rows", []):
-        print(f"  {row['threads']} thread(s) {row['speedup']:>6.2f}x")
 EOF
 fi
 
-# The profiling target covers both hot regimes: the compute-bound
-# scenarios, where the per-op hot loop (workload op stream ->
+# The profiling target is the scenario matrix; its compute-bound
+# scenarios are where the per-op hot loop (workload op stream ->
 # translate -> cache access) plus the channel tick are ~95 % of wall
-# time, and the 4-channel sharding scenario, where the per-channel
-# controller tick dominates and the shard workers' advance loop is the
-# hot path — so the flamegraph shows both the single-channel tick cost
-# and the sharded multi-channel walk.
-PROFILE_CMD=(./target/release/simwall --quick --shard-threads 1,4 --out "$OUT_DIR/BENCH_profiled.json")
+# time.
+PROFILE_CMD=(./target/release/simwall --quick --out "$OUT_DIR/BENCH_profiled.json")
 
 # ---- 2. perf stat (optional) ----------------------------------------
 if command -v perf >/dev/null 2>&1 && perf stat -o /dev/null true 2>/dev/null; then
