@@ -18,7 +18,9 @@
 //! only written when something diverged — CI uploads it as an artifact.
 
 use std::fmt::Write as _;
+use std::num::NonZeroU64;
 
+use refsim_bench::PresetFlags;
 use refsim_core::diffval::{cross_validate, DivergenceClass, Tolerances, POLICY_MATRIX};
 use refsim_core::error::RefsimError;
 use refsim_core::experiment::ExpOptions;
@@ -35,36 +37,25 @@ struct Args {
 }
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> Args {
-    let mut out = Args {
-        opts: ExpOptions::full(),
-        perturb: None,
-        report: "crossval-divergence.txt".to_owned(),
-        csv: false,
-    };
+    let mut preset = PresetFlags::default();
+    let mut perturb = None;
+    let mut report = "crossval-divergence.txt".to_owned();
+    let mut csv = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
+        if preset.accept(&a, &mut it) {
+            continue;
+        }
         match a.as_str() {
-            "--quick" => {
-                let threads = out.opts.threads;
-                out.opts = ExpOptions::quick();
-                out.opts.threads = threads;
-            }
-            "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                out.opts.time_scale = v.parse().expect("--scale must be an integer");
-            }
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                out.opts.seed = v.parse().expect("--seed must be an integer");
-            }
             "--perturb" => {
                 let v = it.next().expect("--perturb needs a drop period");
-                out.perturb = Some(v.parse().expect("--perturb must be an integer >= 1"));
+                // 0 would mean "never drop": a negative control that
+                // perturbs nothing.
+                let n: NonZeroU64 = v.parse().expect("--perturb must be an integer >= 1");
+                perturb = Some(n.get());
             }
-            "--report" => {
-                out.report = it.next().expect("--report needs a path");
-            }
-            "--csv" => out.csv = true,
+            "--report" => report = it.next().expect("--report needs a path"),
+            "--csv" => csv = true,
             "--help" | "-h" => {
                 eprintln!(
                     "flags: [--quick] [--scale N] [--seed N] [--perturb N] \
@@ -75,7 +66,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Args {
             other => panic!("unknown flag {other}; try --help"),
         }
     }
-    out
+    Args {
+        opts: preset.options(),
+        perturb,
+        report,
+        csv,
+    }
 }
 
 /// Whether a negative-control cell behaved as required: every policy
@@ -214,5 +210,35 @@ fn main() {
         }
         eprintln!("cross-validation FAILED: {violations} violating cell(s)");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Args {
+        parse_args(list.iter().map(|s| (*s).to_owned()))
+    }
+
+    #[test]
+    fn quick_preset_does_not_override_earlier_flags() {
+        let a = args(&["--scale", "64", "--seed", "7", "--perturb", "3", "--quick"]);
+        assert_eq!(a.opts.time_scale, 64);
+        assert_eq!(a.opts.seed, 7);
+        assert_eq!(a.opts.workloads.len(), 4);
+        assert_eq!(a.perturb, Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale must be an integer >= 1")]
+    fn rejects_zero_scale() {
+        let _ = args(&["--quick", "--scale", "0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--perturb must be an integer >= 1")]
+    fn rejects_zero_perturb() {
+        let _ = args(&["--quick", "--perturb", "0"]);
     }
 }

@@ -14,6 +14,7 @@
 //!
 //! Exits non-zero on any contract violation, so CI can gate on it.
 
+use refsim_bench::PresetFlags;
 use refsim_core::experiment::ExpOptions;
 use refsim_core::replay::{
     replay_verify, replay_verify_perturbed, replay_verify_resumed, ReplayOptions, ReplayReport,
@@ -29,29 +30,19 @@ enum Mode {
 
 fn parse_args(args: impl IntoIterator<Item = String>) -> (Mode, ExpOptions, bool) {
     let mut mode = Mode::Verify;
-    let mut opts = ExpOptions::full();
+    let mut preset = PresetFlags::default();
     let mut csv = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
+        if preset.accept(&a, &mut it) {
+            continue;
+        }
         match a.as_str() {
             "--verify" => mode = Mode::Verify,
             "--resumed" => mode = Mode::Resumed,
             "--perturb" => {
                 let v = it.next().expect("--perturb needs a quantum index");
                 mode = Mode::Perturb(v.parse().expect("--perturb must be an integer"));
-            }
-            "--quick" => {
-                let threads = opts.threads;
-                opts = ExpOptions::quick();
-                opts.threads = threads;
-            }
-            "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                opts.time_scale = v.parse().expect("--scale must be an integer");
-            }
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                opts.seed = v.parse().expect("--seed must be an integer");
             }
             "--csv" => csv = true,
             "--help" | "-h" => {
@@ -64,7 +55,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> (Mode, ExpOptions, bool
             other => panic!("unknown flag {other}; try --help"),
         }
     }
-    (mode, opts, csv)
+    (mode, preset.options(), csv)
 }
 
 fn main() {
@@ -127,5 +118,29 @@ fn summarize_perturbed(q: u64, r: &ReplayReport) -> (usize, String, bool) {
         }
         Some(d) => (r.samples, format!("misattributed: {d}"), true),
         None => (r.samples, "UNDETECTED perturbation".to_owned(), true),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> (Mode, ExpOptions, bool) {
+        parse_args(list.iter().map(|s| (*s).to_owned()))
+    }
+
+    #[test]
+    fn quick_preset_does_not_override_earlier_flags() {
+        let (mode, opts, _) = args(&["--scale", "64", "--seed", "7", "--perturb", "2", "--quick"]);
+        assert_eq!(mode, Mode::Perturb(2));
+        assert_eq!(opts.time_scale, 64);
+        assert_eq!(opts.seed, 7);
+        assert_eq!(opts.workloads.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale must be an integer >= 1")]
+    fn rejects_zero_scale() {
+        let _ = args(&["--quick", "--scale", "0"]);
     }
 }

@@ -23,11 +23,6 @@
 //! * `--threads LIST` — additionally time the 16-cell refresh-policy
 //!   sweep at each comma-separated worker count (e.g. `1,2,4`) and
 //!   append a `"scaling"` block to the JSON artifact;
-//! * `--chaos` — run only the executor chaos smoke: the sweep on four
-//!   workers under a seeded [`WorkerFaultPlan`] (one hung worker, one
-//!   slow worker) must complete every cell bit-identical to a clean
-//!   single-threaded run with ≥ 1 deadline escalation; exits non-zero
-//!   on any violation;
 //! * `--check` — exit non-zero unless event-skip wins ≥ 3× on the
 //!   reference scenario and is no slower than fixed-step (to timing
 //!   jitter) everywhere else; additionally enforces the batched
@@ -44,10 +39,9 @@
 //! flamegraph diffs are normalized against (see `scripts/profile.sh`).
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use refsim_core::config::{EngineKind, DEFAULT_STEP};
-use refsim_core::executor::{ExecutorOptions, WorkerFaultPlan};
 use refsim_core::experiment::Job;
 use refsim_core::prelude::*;
 use refsim_core::sweep::{run_many_resilient, SweepOptions, SweepReport};
@@ -261,10 +255,10 @@ fn bench_engine(
     }
 }
 
-/// The 16-cell matrix behind `--threads` and `--chaos`: every refresh
-/// policy crossed with a stall-heavy mix on a hot device and a mixed
-/// compute/memory mix at nominal retention. Policy diversity gives the
-/// work-stealing executor genuinely uneven cell costs; two mixes keep
+/// The 16-cell matrix behind `--threads`: every refresh policy crossed
+/// with a stall-heavy mix on a hot device and a mixed compute/memory mix
+/// at nominal retention. Policy diversity gives the sweep pool
+/// genuinely uneven cell costs; two mixes keep
 /// the matrix honest about both regimes.
 fn sweep_jobs(scale: u32) -> Vec<Job> {
     let policies = [
@@ -332,7 +326,6 @@ fn time_sweep(jobs: &[Job], threads: usize, reps: u32) -> (f64, SweepReport) {
 struct ScalingRow {
     threads: usize,
     wall_s: f64,
-    steals: u64,
     requeues: u64,
     results: Vec<String>,
 }
@@ -342,65 +335,9 @@ fn measure_scaling_row(jobs: &[Job], threads: usize, reps: u32) -> ScalingRow {
     ScalingRow {
         threads,
         wall_s,
-        steals: rep.executor.steals,
         requeues: rep.executor.requeues,
         results: rep.results.iter().map(|r| format!("{r:?}")).collect(),
     }
-}
-
-/// The `--chaos` smoke: runs the sweep matrix clean on one worker, then
-/// on four workers with one seeded hung worker (reclaimed twice by the
-/// supervisor) and one slow worker, and verifies containment — every
-/// cell completes `Ok`, bit-identical to the clean run, and the
-/// supervisor logged at least one deadline escalation. Returns the
-/// violations (empty = pass).
-fn chaos_smoke(scale: u32) -> Vec<String> {
-    let jobs = sweep_jobs(scale);
-    let clean =
-        run_many_resilient(&jobs, 1, &SweepOptions::default()).expect("clean sweep must run");
-    let plan = WorkerFaultPlan {
-        hung_workers: 1,
-        hang_claims: 2,
-        slow_workers: 1,
-        slow_delay: Duration::from_millis(10),
-        ..WorkerFaultPlan::quiet(0xC0DE)
-    };
-    let opts = SweepOptions {
-        executor: ExecutorOptions {
-            deadline_floor: Duration::from_millis(100),
-            adaptive_factor: 4,
-            escalate_factor: 1,
-            supervisor_tick: Duration::from_millis(5),
-            stall_cap: Duration::from_secs(5),
-            max_worker_strikes: 2,
-            fault_plan: Some(plan),
-            ..ExecutorOptions::default()
-        },
-        ..SweepOptions::default()
-    };
-    let rep = run_many_resilient(&jobs, FLOOR_THREADS, &opts).expect("chaos sweep must run");
-    println!("chaos executor: {}", rep.executor.summary());
-    let mut broken = Vec::new();
-    if rep.results.len() != jobs.len() {
-        broken.push(format!(
-            "only {}/{} cells accounted for",
-            rep.results.len(),
-            jobs.len()
-        ));
-    }
-    for (i, (chaos, reference)) in rep.results.iter().zip(&clean.results).enumerate() {
-        if chaos.is_err() {
-            broken.push(format!("cell {i} failed under chaos: {chaos:?}"));
-        } else if format!("{chaos:?}") != format!("{reference:?}") {
-            broken.push(format!(
-                "cell {i} diverged from the clean single-threaded run"
-            ));
-        }
-    }
-    if rep.executor.deadline_escalations < 1 {
-        broken.push("the hung worker never tripped a deadline escalation".to_owned());
-    }
-    broken
 }
 
 fn main() {
@@ -409,7 +346,6 @@ fn main() {
     let mut out = String::from("BENCH_simwall.json");
     let mut check = false;
     let mut threads_list: Vec<usize> = Vec::new();
-    let mut chaos = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -440,30 +376,16 @@ fn main() {
                     })
                     .collect();
             }
-            "--chaos" => chaos = true,
             "--check" => check = true,
             "--help" | "-h" => {
                 eprintln!(
                     "flags: [--quick] [--scale N] [--reps N] [--out PATH] \
-                     [--threads LIST] [--chaos] [--check]"
+                     [--threads LIST] [--check]"
                 );
                 return;
             }
             other => panic!("unknown flag {other}; try --help"),
         }
-    }
-
-    if chaos {
-        println!("simwall --chaos: sweep matrix under a seeded WorkerFaultPlan, scale {scale}");
-        let broken = chaos_smoke(scale);
-        if broken.is_empty() {
-            println!("chaos smoke passed: all cells bit-identical, hung worker contained");
-            return;
-        }
-        for b in &broken {
-            eprintln!("FAIL: {b}");
-        }
-        std::process::exit(1);
     }
 
     let base = SystemConfig::table1().with_time_scale(scale);
@@ -607,8 +529,8 @@ fn main() {
             jobs.len()
         );
         println!(
-            "{:<8} {:>10} {:>9} {:>8} {:>9}",
-            "threads", "wall (s)", "speedup", "steals", "requeues"
+            "{:<8} {:>10} {:>9} {:>9}",
+            "threads", "wall (s)", "speedup", "requeues"
         );
         // Untimed warmup pass (allocator, page cache) so the first
         // measured worker count is not penalized.
@@ -656,11 +578,10 @@ fn main() {
         let baseline_wall = scaling_rows[baseline_idx].wall_s;
         for row in &scaling_rows {
             println!(
-                "{:<8} {:>10.3} {:>8.2}x {:>8} {:>9}",
+                "{:<8} {:>10.3} {:>8.2}x {:>9}",
                 row.threads,
                 row.wall_s,
                 baseline_wall / row.wall_s,
-                row.steals,
                 row.requeues
             );
         }
@@ -754,11 +675,10 @@ fn main() {
             let _ = writeln!(
                 json,
                 "      {{\"threads\": {}, \"wall_s\": {:.6}, \"speedup\": {:.4}, \
-                 \"steals\": {}, \"requeues\": {}}}{comma}",
+                 \"requeues\": {}}}{comma}",
                 row.threads,
                 row.wall_s,
                 baseline_wall / row.wall_s,
-                row.steals,
                 row.requeues
             );
         }

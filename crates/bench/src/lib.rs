@@ -29,6 +29,53 @@ use refsim_core::runcache::RunCache;
 
 pub mod soak;
 
+/// The experiment-preset flags every binary shares: `--quick` picks the
+/// preset and `--scale`/`--seed` override it, so the preset is applied
+/// first whatever its position on the command line.
+#[derive(Debug, Clone, Default)]
+pub struct PresetFlags {
+    quick: bool,
+    time_scale: Option<NonZeroU32>,
+    seed: Option<u64>,
+}
+
+impl PresetFlags {
+    /// Consumes `flag` when it is `--quick`, `--scale N` or `--seed N`,
+    /// taking its value from `rest`; returns `false` for any other flag.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a missing or malformed value, `--scale 0` included.
+    pub fn accept(&mut self, flag: &str, rest: &mut impl Iterator<Item = String>) -> bool {
+        match flag {
+            "--quick" => self.quick = true,
+            "--scale" => {
+                let v = rest.next().expect("--scale needs a value");
+                self.time_scale = Some(v.parse().expect("--scale must be an integer >= 1"));
+            }
+            "--seed" => {
+                let v = rest.next().expect("--seed needs a value");
+                self.seed = Some(v.parse().expect("--seed must be an integer"));
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// The options these flags select: the quick or full preset, then
+    /// every explicit override.
+    pub fn options(&self) -> ExpOptions {
+        let mut opts = if self.quick {
+            ExpOptions::quick()
+        } else {
+            ExpOptions::full()
+        };
+        opts.time_scale = self.time_scale.map_or(opts.time_scale, NonZeroU32::get);
+        opts.seed = self.seed.unwrap_or(opts.seed);
+        opts
+    }
+}
+
 /// Parsed command line shared by the figure binaries.
 #[derive(Debug, Clone)]
 pub struct Cli {
@@ -54,11 +101,7 @@ impl Cli {
 
     /// Parses an explicit argument list (testable).
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
-        // `--quick` picks the preset the other flags then override, so it
-        // is applied first whatever its position on the command line.
-        let mut quick = false;
-        let mut time_scale = None;
-        let mut seed = None;
+        let mut preset = PresetFlags::default();
         let mut threads = None;
         let mut csv = false;
         let mut cache = RunCache::from_env();
@@ -67,17 +110,10 @@ impl Cli {
         let mut min_hit_rate = None;
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            if preset.accept(&a, &mut it) {
+                continue;
+            }
             match a.as_str() {
-                "--quick" => quick = true,
-                "--scale" => {
-                    let v = it.next().expect("--scale needs a value");
-                    let scale: NonZeroU32 = v.parse().expect("--scale must be an integer >= 1");
-                    time_scale = Some(scale.get());
-                }
-                "--seed" => {
-                    let v = it.next().expect("--seed needs a value");
-                    seed = Some(v.parse().expect("--seed must be an integer"));
-                }
                 "--threads" => {
                     let v = it.next().expect("--threads needs a value");
                     threads = Some(v.parse().expect("--threads must be an integer"));
@@ -106,13 +142,7 @@ impl Cli {
                 other => panic!("unknown flag {other}; try --help"),
             }
         }
-        let mut opts = if quick {
-            ExpOptions::quick()
-        } else {
-            ExpOptions::full()
-        };
-        opts.time_scale = time_scale.unwrap_or(opts.time_scale);
-        opts.seed = seed.unwrap_or(opts.seed);
+        let mut opts = preset.options();
         opts.threads = threads.unwrap_or(opts.threads);
         opts.cache = if no_cache { None } else { cache };
         Cli {

@@ -31,12 +31,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use refsim_core::config::SystemConfig;
 use refsim_core::error::RefsimError;
-use refsim_core::executor::{default_threads, ExecutorOptions, WorkerFaultPlan};
+use refsim_core::executor::default_threads;
 use refsim_core::experiment::{run_many_checked, Job};
 use refsim_core::faults::FaultPlan;
 use refsim_core::report::Table;
 use refsim_core::sanitize::AuditLevel;
-use refsim_core::sweep::{run_many_resilient, SweepOptions};
 use refsim_core::vfs::crashtest::{
     probe, reference_rows, run_point, CrashScenario, FaultMode, Verdict,
 };
@@ -135,16 +134,6 @@ pub enum ScenarioClass {
         /// crash point, so every index stays reachable as the I/O
         /// sequence evolves across releases.
         point_salt: u64,
-    },
-    /// One chaos run of the work-stealing sweep executor: a small job
-    /// matrix under a seeded [`WorkerFaultPlan`] (a hung worker,
-    /// transient worker panics, one crash-looping job class), held to
-    /// the containment contract — every cell accounted for, healthy
-    /// cells bit-identical to a clean single-threaded run, crash-class
-    /// cells terminating as typed quarantined errors.
-    ExecutorChaos {
-        /// Seed for the scenario's [`WorkerFaultPlan`] and job matrix.
-        plan_seed: u64,
     },
 }
 
@@ -293,14 +282,6 @@ pub fn build_scenario(seed: u64, scale: u32) -> Scenario {
             mode: MODES[rng.gen_range(0..MODES.len())],
             point_salt: rng.gen(),
         }
-    } else if rng.gen_range(0..8u32) == 0 {
-        // Drawn after the crashmat decision (and only on its else
-        // branch) so every previously reachable scenario keeps its
-        // exact RNG stream: one in eight of the remaining slots trades
-        // its sanitizer run for an executor chaos run.
-        ScenarioClass::ExecutorChaos {
-            plan_seed: rng.gen(),
-        }
     } else {
         ScenarioClass::Sanitizer
     };
@@ -310,15 +291,6 @@ pub fn build_scenario(seed: u64, scale: u32) -> Scenario {
             fault: FaultClass::None,
             class,
             label: format!("crashmat {mode}"),
-            job: Job { cfg, mix },
-        };
-    }
-    if let ScenarioClass::ExecutorChaos { .. } = class {
-        return Scenario {
-            seed,
-            fault: FaultClass::None,
-            class,
-            label: "executor-chaos".to_owned(),
             job: Job { cfg, mix },
         };
     }
@@ -443,12 +415,6 @@ impl SoakReport {
             .filter(|r| matches!(r.class, ScenarioClass::Crashmat { .. }))
             .count();
         t.push(["crashmat points".to_owned(), crash.to_string()]);
-        let chaos = self
-            .results
-            .iter()
-            .filter(|r| matches!(r.class, ScenarioClass::ExecutorChaos { .. }))
-            .count();
-        t.push(["executor-chaos runs".to_owned(), chaos.to_string()]);
         t
     }
 
@@ -503,7 +469,6 @@ pub fn run_soak(opts: &SoakOptions) -> SoakReport {
         if slots[i].is_none() {
             slots[i] = Some(match s.class {
                 ScenarioClass::Crashmat { .. } => run_crash_scenario(s),
-                ScenarioClass::ExecutorChaos { .. } => run_executor_chaos_scenario(s),
                 ScenarioClass::Sanitizer => unreachable!("sanitizer slots were batched"),
             });
         }
@@ -557,134 +522,6 @@ pub fn run_crash_scenario(s: &Scenario) -> ScenarioResult {
             )),
         ),
         Err(e) => (Outcome::Crashed, format!("crashmat {mode}"), Some(e)),
-    };
-    ScenarioResult {
-        seed: s.seed,
-        fault: FaultClass::None,
-        class: s.class,
-        label,
-        outcome,
-        by_checker: Vec::new(),
-        error,
-    }
-}
-
-/// The seeded chaos plan every executor scenario runs: one hung worker
-/// that recovers after a claim, transient worker panics at a 15% rate,
-/// and every third job index crash-looping.
-fn chaos_plan(plan_seed: u64) -> WorkerFaultPlan {
-    WorkerFaultPlan {
-        hung_workers: 1,
-        hang_claims: 1,
-        panic_ppm: 150_000,
-        crash_job_period: 3,
-        ..WorkerFaultPlan::quiet(plan_seed)
-    }
-}
-
-/// The small deterministic job matrix an executor-chaos scenario runs:
-/// four distinct cells at a coarse time scale, seeds derived from the
-/// plan seed.
-fn chaos_jobs(plan_seed: u64) -> Vec<Job> {
-    let mixes = table2();
-    (0..4u64)
-        .map(|i| {
-            let mut cfg = SystemConfig::table1()
-                .with_time_scale(4096)
-                .with_seed(plan_seed.wrapping_add(i));
-            cfg.warmup = cfg.trefw() / 8;
-            cfg.measure = cfg.trefw() / 2;
-            Job {
-                cfg,
-                mix: mixes[i as usize % mixes.len()].resized(4),
-            }
-        })
-        .collect()
-}
-
-/// Runs one executor-chaos scenario: the job matrix clean and
-/// single-threaded for reference, then on three workers under the
-/// seeded [`WorkerFaultPlan`], and judges containment — every cell
-/// accounted for, healthy cells bit-identical to the reference,
-/// crash-class cells ending as typed quarantined errors. Classification
-/// depends only on results, never on timing-sensitive telemetry, so a
-/// scenario replays to the same outcome on any host.
-pub fn run_executor_chaos_scenario(s: &Scenario) -> ScenarioResult {
-    let ScenarioClass::ExecutorChaos { plan_seed } = s.class else {
-        panic!("run_executor_chaos_scenario takes an executor-chaos scenario");
-    };
-    let plan = chaos_plan(plan_seed);
-    let attempt = std::panic::catch_unwind(|| -> Result<(Outcome, String), RefsimError> {
-        let jobs = chaos_jobs(plan_seed);
-        let clean = run_many_resilient(&jobs, 1, &SweepOptions::default())?;
-        let opts = SweepOptions {
-            executor: ExecutorOptions {
-                deadline_floor: std::time::Duration::from_millis(50),
-                adaptive_factor: 4,
-                stall_cap: std::time::Duration::from_millis(300),
-                supervisor_tick: std::time::Duration::from_millis(2),
-                max_worker_strikes: 2,
-                fault_plan: Some(plan),
-                ..ExecutorOptions::default()
-            },
-            ..SweepOptions::default()
-        };
-        let rep = run_many_resilient(&jobs, 3, &opts)?;
-        let mut broken = Vec::new();
-        if rep.results.len() != jobs.len() {
-            broken.push(format!(
-                "only {}/{} cells accounted for",
-                rep.results.len(),
-                jobs.len()
-            ));
-        }
-        for (i, (chaos, reference)) in rep.results.iter().zip(&clean.results).enumerate() {
-            if plan.crashes_job(i) {
-                if !chaos.is_err() {
-                    broken.push(format!("crash-class job {i} produced a result"));
-                }
-                if !rep.quarantined.contains(&i) {
-                    broken.push(format!("crash-class job {i} missing a quarantine record"));
-                }
-            } else if format!("{chaos:?}") != format!("{reference:?}") {
-                broken.push(format!("healthy job {i} diverged from the clean run"));
-            }
-        }
-        let telemetry = format!(
-            "{} steals, {} requeues, {} escalations, {} workers quarantined",
-            rep.executor.steals,
-            rep.executor.requeues,
-            rep.executor.deadline_escalations,
-            rep.executor.quarantined_workers,
-        );
-        if broken.is_empty() {
-            Ok((Outcome::Caught, format!("executor-chaos: {telemetry}")))
-        } else {
-            Ok((
-                Outcome::Violated,
-                format!("executor-chaos: {}", broken.join("; ")),
-            ))
-        }
-    });
-    let (outcome, label, error) = match attempt {
-        Ok(Ok((outcome, label))) => {
-            let error = (outcome == Outcome::Violated)
-                .then(|| format!("{label} (reproducer seed {})", s.seed));
-            (outcome, label, error)
-        }
-        Ok(Err(e)) => (
-            Outcome::Crashed,
-            "executor-chaos".to_owned(),
-            Some(e.to_string()),
-        ),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            (Outcome::Crashed, "executor-chaos".to_owned(), Some(msg))
-        }
     };
     ScenarioResult {
         seed: s.seed,
@@ -836,25 +673,6 @@ mod tests {
             "crash point must satisfy the durability contract: {} {:?}",
             a.label,
             a.error
-        );
-    }
-
-    /// The generator draws executor-chaos scenarios and the chaos runner
-    /// contains the injected faults: the sweep finishes, every cell is
-    /// accounted for, and healthy cells match the single-threaded reference.
-    #[test]
-    fn executor_chaos_scenarios_are_drawn_and_contained() {
-        let s = (0u64..)
-            .map(|i| build_scenario(0xEC_0000 + i, DEFAULT_SCALE))
-            .find(|s| matches!(s.class, ScenarioClass::ExecutorChaos { .. }))
-            .expect("the generator draws executor-chaos scenarios");
-        let out = run_executor_chaos_scenario(&s);
-        assert!(
-            matches!(out.outcome, Outcome::Caught),
-            "chaos must be contained, got {:?}: {} {:?}",
-            out.outcome,
-            out.label,
-            out.error
         );
     }
 

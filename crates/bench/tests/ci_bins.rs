@@ -76,3 +76,69 @@ fn a_misspelt_bin_is_reported() {
     );
     assert_eq!(unresolved(text), ["all_figurez", "simwal"]);
 }
+
+/// The jobs named as `scripts/gates.sh JOB` in `text`.
+fn gate_calls(text: &str) -> Vec<String> {
+    let mut tokens = text.split_whitespace();
+    let mut jobs = Vec::new();
+    while let Some(tok) = tokens.next() {
+        if tok == "scripts/gates.sh" {
+            jobs.push(tokens.next().unwrap_or("").to_owned());
+        }
+    }
+    jobs
+}
+
+/// The arms of the top-level `case` in a gate script, `*` excluded.
+fn gate_jobs(script: &str) -> Vec<String> {
+    script
+        .lines()
+        .skip_while(|l| !l.starts_with("case "))
+        .take_while(|l| !l.starts_with("esac"))
+        .filter_map(|l| l.strip_prefix("    ")?.split_once(')'))
+        .map(|(arm, _)| arm.to_owned())
+        .filter(|arm| !arm.starts_with(['*', ' ']))
+        .collect()
+}
+
+/// Calls in `ci` whose job is not an arm of `script`'s `case`.
+fn unknown_jobs(ci: &str, script: &str) -> Vec<String> {
+    let jobs = gate_jobs(script);
+    gate_calls(ci)
+        .into_iter()
+        .filter(|j| !jobs.contains(j))
+        .collect()
+}
+
+#[test]
+fn every_ci_gate_job_is_a_case_of_the_script() {
+    let read = |file: &str| {
+        let path = workspace_root().join(file);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+    };
+    let (ci, script) = (read(".github/workflows/ci.yml"), read("scripts/gates.sh"));
+    assert!(!gate_calls(&ci).is_empty(), "ci.yml calls no gate job");
+    assert!(gate_jobs(&script).contains(&"all".to_owned()));
+    let unknown = unknown_jobs(&ci, &script);
+    assert!(
+        unknown.is_empty(),
+        "ci.yml runs unknown gate jobs {unknown:?}"
+    );
+}
+
+#[test]
+fn a_misspelt_gate_job_is_reported() {
+    let script = "soak() {\n    cargo run\n}\n\
+                  case \"${1:-}\" in\n    \
+                  soak) soak ;;\n    \
+                  warm-cache) warm_cache ;;\n    \
+                  all)\n        soak\n        ;;\n    \
+                  *)\n        exit 2\n        ;;\n\
+                  esac\n";
+    assert_eq!(gate_jobs(script), ["soak", "warm-cache", "all"]);
+    let ci = "run: scripts/gates.sh soak\n\
+              run: scripts/gates.sh warm_cache\n\
+              # see scripts/gates.sh).\n\
+              run: scripts/gates.sh all";
+    assert_eq!(unknown_jobs(ci, script), ["warm_cache"]);
+}

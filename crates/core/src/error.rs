@@ -71,16 +71,6 @@ pub enum RefsimError {
         /// Machine state at the failure.
         snapshot: Box<SystemSnapshot>,
     },
-    /// The run was cooperatively cancelled through the supervisor hook
-    /// (see [`crate::system::System::set_cancel_hook`]): the sweep
-    /// executor's straggler escalation asked the step loop to abandon
-    /// the attempt. Retryable — the attempt is requeued and re-run
-    /// (from its checkpoint when one exists), so cancellation never
-    /// changes a result, only when it is computed.
-    Cancelled {
-        /// Simulation clock when the hook was observed.
-        at: Ps,
-    },
     /// A simulation worker panicked; the payload message is preserved
     /// when it was a string.
     Panicked(String),
@@ -120,9 +110,6 @@ impl fmt::Display for RefsimError {
                 f,
                 "no forward progress after {steps} steps at {at} [{snapshot}]"
             ),
-            RefsimError::Cancelled { at } => {
-                write!(f, "cancelled by the sweep supervisor at {at}")
-            }
             RefsimError::Panicked(msg) => write!(f, "simulation panicked: {msg}"),
             RefsimError::Checkpoint(why) => write!(f, "checkpoint error: {why}"),
             RefsimError::Io(e) => write!(f, "filesystem i/o: {e}"),

@@ -30,7 +30,7 @@ pub mod vfs;
 pub mod prelude {
     pub use crate::config::SystemConfig;
     pub use crate::error::{RefsimError, SystemSnapshot};
-    pub use crate::executor::{default_threads, ExecutorOptions, ExecutorStats, WorkerFaultPlan};
+    pub use crate::executor::{default_threads, ExecutorStats};
     pub use crate::experiment::{ExpOptions, Job, Scheme};
     pub use crate::faults::FaultPlan;
     pub use crate::metrics::{gmean, gmean_finite, RunMetrics, TaskMetrics};

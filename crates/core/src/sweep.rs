@@ -6,7 +6,7 @@
 //! steered through explicit span boundaries (see
 //! [`crate::replay::span_boundaries`]) so it can periodically persist a
 //! [`Checkpoint`]. A job that dies — panic, transient checkpoint I/O
-//! fault — is retried with bounded exponential backoff, resuming from
+//! fault — is retried once, in place on the same worker, resuming from
 //! its last on-disk checkpoint rather than from scratch; a job that
 //! keeps dying is *quarantined* so the rest of the sweep completes.
 //! Deterministic failures (invalid config, empty workload, OOM, DRAM
@@ -45,16 +45,16 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use refsim_dram::time::Ps;
 
 use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
 use crate::codec::{self, to_bytes, Dec, Enc};
 use crate::error::RefsimError;
-use crate::executor::{self, default_threads, ExecItem, ExecutorOptions, ExecutorStats, Verdict};
+use crate::executor::{self, default_threads, ExecItem, ExecutorStats};
 use crate::experiment::Job;
 use crate::metrics::RunMetrics;
 use crate::replay::{span_boundaries, StateHashes};
@@ -72,11 +72,6 @@ pub struct SweepOptions {
     /// the warm-up boundary and run end — the exact segmentation of
     /// [`System::try_run`], preserving bit-identity with plain sweeps.
     pub checkpoint_every: Option<Ps>,
-    /// Additional attempts after the first failure of a retryable job.
-    pub max_retries: u32,
-    /// Base backoff slept before a retry; doubles per attempt, capped
-    /// at one second.
-    pub backoff: Duration,
     /// Test-only fault injection: panic a chosen job mid-run. Injection
     /// targets a job *index*; a duplicate cell deduped onto another
     /// leader never runs and so never fires its injection.
@@ -93,10 +88,6 @@ pub struct SweepOptions {
     /// Defaults to the real filesystem; the crash-matrix harness swaps
     /// in a [`crate::vfs::FaultVfs`].
     pub vfs: Arc<dyn Vfs>,
-    /// Supervision and isolation policy for the work-stealing executor
-    /// that runs the deduplicated leader cells (deadlines, straggler
-    /// escalation, worker quarantine, chaos injection).
-    pub executor: ExecutorOptions,
 }
 
 impl Default for SweepOptions {
@@ -104,27 +95,26 @@ impl Default for SweepOptions {
         SweepOptions {
             dir: None,
             checkpoint_every: None,
-            max_retries: 1,
-            backoff: Duration::ZERO,
             inject: None,
             cache: None,
             verify_sampled: true,
             vfs: std_vfs(),
-            executor: ExecutorOptions::default(),
         }
     }
 }
 
 /// Deterministic fault injection for testing the retry/resume path:
-/// the chosen job panics after completing `after_spans` span
-/// boundaries, on each of its first `attempts` attempts.
+/// on each of its first `attempts` attempts, the chosen job panics at
+/// the first span boundary with index `after_spans` or later that the
+/// attempt itself runs to — so an attempt resumed past that boundary
+/// dies at its first one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PanicInjection {
     /// Index of the job to kill.
     pub job: usize,
     /// Number of attempts that die before one is allowed to finish.
     pub attempts: u32,
-    /// Span boundaries the doomed attempt completes before panicking.
+    /// Index of the earliest span boundary a doomed attempt panics at.
     pub after_spans: u64,
 }
 
@@ -153,9 +143,8 @@ pub struct SweepReport {
     /// The sweep manifest was torn or corrupt and progress was rebuilt
     /// from the surviving checksummed per-job metrics frames.
     pub manifest_rebuilt: bool,
-    /// Scheduling telemetry from the work-stealing executor (steals,
-    /// requeues, deadline escalations, quarantined workers, tail-cell
-    /// histogram).
+    /// Scheduling telemetry from the sweep pool (workers, retried
+    /// attempts, per-cell wall histogram).
     pub executor: ExecutorStats,
 }
 
@@ -167,6 +156,10 @@ struct SweepTelemetry {
     ckpt_save_failures: AtomicU64,
 }
 
+/// Additional attempts after the first failure of a retryable job. A
+/// retry runs at once, in place, on the worker that saw the failure.
+const MAX_RETRIES: u32 = 1;
+
 /// Whether a failed attempt is worth retrying. Only nondeterministic
 /// failure modes qualify: everything else reproduces identically.
 /// Transient I/O interruptions qualify; ENOSPC and crash-point
@@ -174,10 +167,6 @@ struct SweepTelemetry {
 fn is_retryable(e: &RefsimError) -> bool {
     match e {
         RefsimError::Panicked(_) | RefsimError::Checkpoint(_) => true,
-        // Supervisor cancellation abandons a straggling attempt so its
-        // worker can serve healthy cells; the re-run (from checkpoint
-        // when one exists) produces the same bits later.
-        RefsimError::Cancelled { .. } => true,
         RefsimError::Io(io) => io.is_transient(),
         _ => false,
     }
@@ -419,10 +408,7 @@ struct AttemptOutcome {
 
 /// Runs one attempt of `job`, checkpointing at each span boundary when a
 /// sweep directory is configured, resuming from an existing checkpoint
-/// when one is present and importable. `cancel`, when supplied, is
-/// installed as the system's cooperative-cancellation hook (see
-/// [`System::set_cancel_hook`]) so the executor's supervisor can
-/// reclaim a straggling attempt.
+/// when one is present and importable.
 fn run_attempt(
     job: &Job,
     job_idx: usize,
@@ -430,7 +416,6 @@ fn run_attempt(
     opts: &SweepOptions,
     want_hash: bool,
     tel: &SweepTelemetry,
-    cancel: Option<&Arc<AtomicBool>>,
 ) -> Result<AttemptOutcome, RefsimError> {
     let t0 = Instant::now();
     let cfg = &job.cfg;
@@ -481,11 +466,6 @@ fn run_attempt(
             s
         }
     };
-    // Installed after both construction paths, so a checkpoint-restored
-    // attempt is just as reclaimable as a cold one.
-    if let Some(flag) = cancel {
-        sys.set_cancel_hook(Arc::clone(flag));
-    }
     for (s_idx, &b) in boundaries.iter().enumerate() {
         if b <= sys.now() {
             continue; // already covered by the restored checkpoint
@@ -514,7 +494,7 @@ fn run_attempt(
             }
         }
         if let Some(inj) = &opts.inject {
-            if inj.job == job_idx && attempt < inj.attempts && s_idx as u64 == inj.after_spans {
+            if inj.job == job_idx && attempt < inj.attempts && s_idx as u64 >= inj.after_spans {
                 panic!("injected sweep fault (job {job_idx}, attempt {attempt})");
             }
         }
@@ -536,8 +516,8 @@ fn run_attempt(
 // ---- the runner ----------------------------------------------------------
 
 /// Error-tolerant, crash-safe sweep: runs every job to a `Result` in job
-/// order, retrying retryable failures from their last checkpoint with
-/// bounded backoff and quarantining jobs that keep failing. With
+/// order, retrying retryable failures in place from their last
+/// checkpoint and quarantining jobs that keep failing. With
 /// `opts.dir` set, progress survives process death: rerun with the same
 /// jobs and options to resume from the manifest.
 ///
@@ -694,13 +674,6 @@ pub fn run_many_resilient(
         .find(|it| opts.verify_sampled && it.estimate_nanos.is_some())
         .map(|it| leaders[it.id]);
 
-    // Per-leader state that must survive executor requeues: the sweep —
-    // not the executor — owns the retry budget (so `PanicInjection`
-    // attempt counting is unchanged), and the cache decision is made
-    // exactly once per leader no matter how many dispatches it takes.
-    let attempts: Vec<AtomicU32> = leaders.iter().map(|_| AtomicU32::new(0)).collect();
-    let prepared: Vec<OnceLock<Prepared>> = leaders.iter().map(|_| OnceLock::new()).collect();
-
     let bump = |f: &dyn Fn(&mut CacheStats)| {
         f(&mut stats_mx.lock().expect("poisoned"));
     };
@@ -807,55 +780,41 @@ pub fn run_many_resilient(
         }
     };
 
-    // One executor dispatch of one leader: a single attempt, with the
-    // verdict routing retries (requeue, never a sleeping worker),
-    // supervisor cancellations (requeue outside the retry budget), and
-    // terminal outcomes (fan-out).
-    let exec_run = |p: usize, ctx: &executor::ExecCtx<'_>| -> Verdict {
+    // One leader, start to finish: the cache decision, then attempts in
+    // place until one succeeds, fails deterministically, or exhausts
+    // the retry budget; the terminal outcome fans out to the group.
+    let run_leader = |p: usize| {
         let i = leaders[p];
         let fp = fingerprints[i];
-        let prep = prepared[p].get_or_init(|| prepare(i, fp));
-        let (verify, verify_sz, use_cache) = match prep {
-            Prepared::Serve(m) => {
-                finish(fp, Ok((**m).clone()), false);
-                return Verdict::Done { poisoned: false };
-            }
+        let (verify, verify_sz, use_cache) = match prepare(i, fp) {
+            Prepared::Serve(m) => return finish(fp, Ok(*m), false),
             Prepared::Execute {
                 verify,
                 verify_sz,
                 use_cache,
-            } => (verify, *verify_sz, *use_cache),
+            } => (verify, verify_sz, use_cache),
         };
-        let attempt = attempts[p].load(Ordering::Relaxed);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // A chaos plan's crash-looping job *class* panics inside the
-            // sweep's own guard, so it burns real attempt budget and
-            // terminates as a typed error + quarantined cell — the
-            // executor-side worker faults never touch that budget.
-            if let Some(plan) = &opts.executor.fault_plan {
-                if plan.crashes_job(i) {
-                    panic!("injected crash-loop (job {i}, attempt {attempt})");
+        let mut attempt = 0;
+        let r = loop {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_attempt(&jobs[i], i, attempt, opts, use_cache, &tel)
+            }))
+            .unwrap_or_else(|payload| Err(RefsimError::Panicked(panic_message(payload.as_ref()))));
+            match r {
+                Err(e) if is_retryable(&e) && attempt < MAX_RETRIES => {
+                    retries.fetch_add(1, Ordering::Relaxed);
+                    attempt += 1;
                 }
+                r => break r,
             }
-            run_attempt(
-                &jobs[i],
-                i,
-                attempt,
-                opts,
-                use_cache,
-                &tel,
-                Some(ctx.cancel),
-            )
-        }))
-        .unwrap_or_else(|payload| Err(RefsimError::Panicked(panic_message(payload.as_ref()))));
+        };
         match r {
             Ok(out) => {
                 if out.resumed {
                     resumed_count.fetch_add(1, Ordering::Relaxed);
                 }
-                let outcome = if let Some(entry) = verify {
-                    let clean = out.metrics == entry.metrics && out.hash == Some(entry.replay_hash);
-                    if clean {
+                if let Some(entry) = verify {
+                    if out.metrics == entry.metrics && out.hash == Some(entry.replay_hash) {
                         bump(&|st| {
                             st.hits += 1;
                             st.verified += 1;
@@ -869,56 +828,22 @@ pub fn run_many_resilient(
                             store_entry(cache, fp, &out, &stats_mx);
                         }
                     }
-                    Ok(out.metrics)
-                } else {
-                    if use_cache {
-                        if let Some(cache) = &opts.cache {
-                            store_entry(cache, fp, &out, &stats_mx);
-                        }
+                } else if use_cache {
+                    if let Some(cache) = &opts.cache {
+                        store_entry(cache, fp, &out, &stats_mx);
                     }
-                    Ok(out.metrics)
-                };
-                finish(fp, outcome, false);
-                Verdict::Done { poisoned: false }
-            }
-            Err(RefsimError::Cancelled { .. }) => {
-                // A reclaimed straggler re-runs (from its checkpoint
-                // when one exists) without consuming the retry budget;
-                // the executor doubles its deadline and bounds how many
-                // cancellations one cell can absorb.
-                Verdict::Requeue {
-                    backoff: Duration::ZERO,
-                    poisoned: false,
-                    cancelled: true,
                 }
+                finish(fp, Ok(out.metrics), false);
             }
             Err(e) => {
-                let poisoned = matches!(e, RefsimError::Panicked(_));
                 let retryable = is_retryable(&e);
-                if retryable && attempt < opts.max_retries {
-                    retries.fetch_add(1, Ordering::Relaxed);
-                    attempts[p].fetch_add(1, Ordering::Relaxed);
-                    // Exponential backoff as before — but requeued, so
-                    // the worker serves healthy cells while this one
-                    // waits out its delay.
-                    let backoff = opts
-                        .backoff
-                        .saturating_mul(1 << attempt.min(10))
-                        .min(Duration::from_secs(1));
-                    Verdict::Requeue {
-                        backoff,
-                        poisoned,
-                        cancelled: false,
-                    }
-                } else {
-                    finish(fp, Err(e), retryable);
-                    Verdict::Done { poisoned }
-                }
+                finish(fp, Err(e), retryable);
             }
         }
     };
 
-    let exec_stats = executor::execute(&items, workers, &opts.executor, exec_run);
+    let mut exec_stats = executor::execute(&items, workers, run_leader);
+    exec_stats.requeues = retries.load(Ordering::Relaxed);
 
     let mut quarantined = quarantined.into_inner().expect("poisoned");
     quarantined.sort_unstable();
@@ -941,9 +866,8 @@ pub fn run_many_resilient(
     })
 }
 
-/// The once-per-leader cache decision, cached across executor requeues
-/// so a retried or cancelled dispatch never re-probes (or re-counts)
-/// the cache.
+/// The once-per-leader cache decision, made before the first attempt so
+/// a retry never re-probes (or re-counts) the cache.
 #[derive(Debug)]
 enum Prepared {
     /// Serve the cached metrics without executing.
@@ -1056,73 +980,93 @@ mod tests {
         )
         .expect("clean sweep");
 
-        // Faulted: job 0 dies once mid-run, retries, resumes from disk.
-        let dir = tmp_dir("resume");
-        let faulted = run_many_resilient(
-            &jobs,
-            1,
-            &SweepOptions {
-                dir: Some(dir.clone()),
-                checkpoint_every: Some(every),
-                max_retries: 1,
-                backoff: Duration::ZERO,
-                inject: Some(PanicInjection {
-                    job: 0,
-                    attempts: 1,
-                    after_spans: 2,
-                }),
-                ..SweepOptions::default()
-            },
-        )
-        .expect("faulted sweep");
-        assert_eq!(
-            faulted.retries, 1,
-            "the injected panic must trigger a retry"
-        );
-        assert_eq!(
-            faulted.resumed, 1,
-            "the retry must resume from the checkpoint"
-        );
-        assert!(faulted.quarantined.is_empty());
-        for (i, (a, b)) in clean.results.iter().zip(&faulted.results).enumerate() {
-            let (a, b) = (a.as_ref().expect("clean"), b.as_ref().expect("faulted"));
+        // Faulted: job 0 dies once mid-run, retries in place, resumes
+        // from disk.
+        for threads in [1, 4] {
+            let dir = tmp_dir(&format!("resume-{threads}"));
+            let faulted = run_many_resilient(
+                &jobs,
+                threads,
+                &SweepOptions {
+                    dir: Some(dir.clone()),
+                    checkpoint_every: Some(every),
+                    inject: Some(PanicInjection {
+                        job: 0,
+                        attempts: 1,
+                        after_spans: 2,
+                    }),
+                    ..SweepOptions::default()
+                },
+            )
+            .expect("faulted sweep");
             assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "job {i}: resumed run must be bit-identical to the uninterrupted run"
+                faulted.retries, 1,
+                "threads={threads}: the injected panic must trigger a retry"
             );
+            assert_eq!(faulted.executor.requeues, 1, "threads={threads}");
+            assert_eq!(
+                faulted.resumed, 1,
+                "threads={threads}: the retry must resume from the checkpoint"
+            );
+            assert!(faulted.quarantined.is_empty());
+            for (i, (a, b)) in clean.results.iter().zip(&faulted.results).enumerate() {
+                let (a, b) = (a.as_ref().expect("clean"), b.as_ref().expect("faulted"));
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "threads={threads} job {i}: resumed run must be bit-identical to the \
+                     uninterrupted run"
+                );
+            }
+            let _ = fs::remove_dir_all(&dir);
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn repeated_failures_are_quarantined_and_the_sweep_completes() {
         let jobs = [tiny_job(5), tiny_job(6)];
-        let report = run_many_resilient(
-            &jobs,
-            2,
+        let every = jobs[0].cfg.effective_timeslice() * 8;
+        let clean = run_many_resilient(
+            &jobs[1..],
+            1,
             &SweepOptions {
-                checkpoint_every: Some(jobs[0].cfg.effective_timeslice() * 8),
-                max_retries: 1,
-                inject: Some(PanicInjection {
-                    job: 0,
-                    attempts: 5, // outlives the retry budget
-                    after_spans: 1,
-                }),
+                checkpoint_every: Some(every),
                 ..SweepOptions::default()
             },
         )
-        .expect("sweep");
-        assert_eq!(report.quarantined, vec![0]);
-        assert!(
-            matches!(
-                report.results[0],
-                Err(RefsimError::Panicked(ref m)) if m.contains("injected")
-            ),
-            "unexpected job-0 result: {:?}",
-            report.results[0]
-        );
-        assert!(report.results[1].is_ok(), "healthy jobs must still finish");
+        .expect("clean sweep");
+        for threads in [1, 4] {
+            let report = run_many_resilient(
+                &jobs,
+                threads,
+                &SweepOptions {
+                    checkpoint_every: Some(every),
+                    inject: Some(PanicInjection {
+                        job: 0,
+                        attempts: 5, // outlives the retry budget
+                        after_spans: 1,
+                    }),
+                    ..SweepOptions::default()
+                },
+            )
+            .expect("sweep");
+            assert_eq!(report.quarantined, vec![0], "threads={threads}");
+            assert!(
+                matches!(
+                    report.results[0],
+                    Err(RefsimError::Panicked(ref m)) if m.contains("injected")
+                ),
+                "threads={threads}: unexpected job-0 result: {:?}",
+                report.results[0]
+            );
+            assert_eq!(report.retries, u64::from(MAX_RETRIES), "threads={threads}");
+            assert_eq!(report.executor.requeues, report.retries);
+            assert_eq!(
+                format!("{:?}", report.results[1]),
+                format!("{:?}", clean.results[0]),
+                "threads={threads}: healthy jobs must still finish, bit-identical"
+            );
+        }
     }
 
     #[test]
@@ -1144,14 +1088,14 @@ mod tests {
         let every = jobs[0].cfg.effective_timeslice() * 8;
         let dir = tmp_dir("manifest");
 
-        // First invocation: job 1 keeps dying and ends up `failed`.
+        // First invocation: job 1 keeps dying, its retry too, and it
+        // ends up `failed`.
         let first = run_many_resilient(
             &jobs,
             1,
             &SweepOptions {
                 dir: Some(dir.clone()),
                 checkpoint_every: Some(every),
-                max_retries: 0,
                 inject: Some(PanicInjection {
                     job: 1,
                     attempts: 9,

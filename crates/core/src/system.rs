@@ -166,12 +166,6 @@ pub struct System {
     /// Engine telemetry (not checkpointed, not hashed): loop iterations
     /// and which horizon constraint bound each skip decision.
     engine_stats: EngineStats,
-    /// Cooperative-cancellation flag installed by the sweep executor's
-    /// supervisor (see [`System::set_cancel_hook`]); polled once per
-    /// step-loop iteration next to the forward-progress watchdog. Not
-    /// part of the checkpointed state: a restored system starts with no
-    /// hook, and the owning attempt re-installs its own.
-    cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
 /// Telemetry for the step loop and the event-horizon skip decisions.
@@ -350,7 +344,6 @@ impl System {
             trace_buf: Vec::new(),
             skip_overshoot,
             engine_stats: EngineStats::default(),
-            cancel: None,
         };
         if sys.san.is_some() {
             // Checkers consume the controller command trace as events.
@@ -364,18 +357,6 @@ impl System {
     /// The configuration in effect.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
-    }
-
-    /// Installs a cooperative-cancellation flag, polled once per
-    /// [`System::try_run_until`] step-loop iteration alongside the
-    /// forward-progress watchdog. When the flag goes `true` the current
-    /// span returns [`RefsimError::Cancelled`] at the next iteration
-    /// instead of running to its end — the hook the sweep executor's
-    /// straggler supervisor uses to reclaim a worker from an
-    /// over-deadline cell. An untriggered hook never affects results:
-    /// the check reads shared state but writes none.
-    pub fn set_cancel_hook(&mut self, flag: std::sync::Arc<std::sync::atomic::AtomicBool>) {
-        self.cancel = Some(flag);
     }
 
     /// Current simulation time.
@@ -516,14 +497,6 @@ impl System {
                     steps,
                     snapshot: Box::new(self.snapshot()),
                 });
-            }
-            // Cooperative cancellation rides the same per-iteration gate
-            // as the watchdog: a relaxed load when a hook is installed,
-            // a single branch when none is (the common case).
-            if let Some(c) = &self.cancel {
-                if c.load(std::sync::atomic::Ordering::Relaxed) {
-                    return Err(RefsimError::Cancelled { at: self.clock });
-                }
             }
             // 1. Scheduling decisions at the current instant. Each real
             //    preemption closes an audit quantum.

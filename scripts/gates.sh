@@ -84,10 +84,6 @@ sweep_scaling() {
     # hosts with fewer than 4 cores).
     cargo run --release -p refsim-bench --bin simwall -- --quick --threads 1,2,4 --check \
         --out artifacts/BENCH_simwall.json
-    # Seeded WorkerFaultPlan: one hung worker, one slow worker. Every
-    # cell must complete bit-identical to a clean single-threaded run
-    # with >= 1 deadline escalation.
-    cargo run --release -p refsim-bench --bin simwall -- --chaos
 }
 
 warm_cache() {
